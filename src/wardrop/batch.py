@@ -7,17 +7,18 @@ latency, which upper-bounds the plain edge cost and converges to it as
 batch counts grow. select_batch_system inverts the Riemann error bound
 to hit any requested total overshoot, and verify_batch_equilibrium
 checks the induced game's equilibrium condition at its worst case.
+Loads, plain edge costs and marginal latencies of a whole flow come
+from the game's vector view (model._GameArrays).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FEASIBILITY_TOL, EdgeLoads, Flow, Game, edge_loads, is_feasible
-from .solver import EPS_USE, SolverParams, SolveResult, solve
+from .model import FEASIBILITY_TOL, EdgeLoads, Flow, Game, is_feasible
+from .solver import EPS_USE, SolverParams, SolveResult, solve, wardrop_gap
 
 # Chunk size for batch sums; bounds memory when a tight epsilon demands
 # batch counts in the millions, with a fixed size so sums stay
@@ -137,12 +138,9 @@ def batch_schedule(
     ]
 
 
-def batch_edge_cost(game: Game, loads: EdgeLoads, edge_id: str, n_batches: int) -> float:
-    """Total batch cost of one edge: the right-endpoint Riemann sum
-    (x_e / N) * sum_b lhat((b / N) * x_e) of the marginal-cost latency."""
-    n = _check_count(n_batches)
-    x = loads.total[edge_id]
-    coeffs = game.edge(edge_id).latency.marginal().coeffs
+def _riemann_sum(coeffs: tuple[float, ...], x: float, n: int) -> float:
+    """(x / n) * sum_b p((b / n) * x) for the polynomial p with the given
+    coefficients, lowest power first."""
     total = 0.0
     for chunk_start in range(1, n + 1, _SUM_CHUNK):
         chunk_stop = min(chunk_start + _SUM_CHUNK, n + 1)
@@ -154,6 +152,14 @@ def batch_edge_cost(game: Game, loads: EdgeLoads, edge_id: str, n_batches: int) 
     return x / n * total
 
 
+def batch_edge_cost(game: Game, loads: EdgeLoads, edge_id: str, n_batches: int) -> float:
+    """Total batch cost of one edge: the right-endpoint Riemann sum
+    (x_e / N) * sum_b lhat((b / N) * x_e) of the marginal-cost latency."""
+    n = _check_count(n_batches)
+    coeffs = game.edge(edge_id).latency.marginal().coeffs
+    return _riemann_sum(coeffs, loads.total[edge_id], n)
+
+
 def batch_social_cost(
     game: Game, flow: Flow, batch_system: BatchSystem, tol: float = FEASIBILITY_TOL
 ) -> BatchReport:
@@ -161,19 +167,19 @@ def batch_social_cost(
     if not is_feasible(game, flow, tol):
         raise ValueError("infeasible flow")
     _check_cover(game, batch_system)
-    loads = edge_loads(game, flow)
+    view = game._arrays
+    x = view.loads(view.flow_vector(flow))
+    loads, base_costs = x.tolist(), view.edge_costs(x).tolist()
     per_edge: dict[str, BatchEdgeReport] = {}
-    for edge_id in sorted(game.edge_ids):
+    for edge_id, k in sorted(view.edge_index.items()):
         n = batch_system.counts[edge_id]
-        x = loads.total[edge_id]
-        batch_cost = batch_edge_cost(game, loads, edge_id, n)
-        base_cost = game.edge(edge_id).latency(x) * x
+        batch_cost = _riemann_sum(view.coeff_tuples["marginal"][k], loads[k], n)
         per_edge[edge_id] = BatchEdgeReport(
             count=n,
-            load=x,
-            base_cost=base_cost,
+            load=loads[k],
+            base_cost=base_costs[k],
             batch_cost=batch_cost,
-            gap=batch_cost - base_cost,
+            gap=batch_cost - base_costs[k],
         )
     total_batch = sum(r.batch_cost for r in per_edge.values())
     total_base = sum(r.base_cost for r in per_edge.values())
@@ -199,18 +205,14 @@ def select_batch_system(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not is_feasible(game, flow):
         raise ValueError("infeasible flow")
-    loads = edge_loads(game, flow)
-    counts = {edge_id: 1 for edge_id in game.edge_ids}
-    loaded = [edge_id for edge_id in sorted(game.edge_ids) if loads.total[edge_id] > eps_use]
-    if loaded:
-        budget = epsilon / len(loaded)
-        for edge_id in loaded:
-            x = loads.total[edge_id]
-            marginal = game.edge(edge_id).latency.marginal()
-            span = marginal(x) - marginal(0.0)
-            if span > 0:
-                counts[edge_id] = max(1, math.ceil(x * span / budget))
-    return BatchSystem(counts)
+    view = game._arrays
+    x = view.loads(view.flow_vector(flow))
+    marginal = view.coeff_banks["marginal"]
+    span = view.edge_values(marginal, x) - marginal[:, 0]
+    loaded = x > eps_use
+    budget = epsilon / max(1, int(np.count_nonzero(loaded)))
+    needed = np.where(loaded & (span > 0), np.ceil(x * span / budget), 1.0)
+    return BatchSystem({edge_id: max(1, int(n)) for edge_id, n in zip(game.edge_ids, needed)})
 
 
 def verify_batch_equilibrium(
@@ -225,36 +227,12 @@ def verify_batch_equilibrium(
     The binding instance of the condition is the last batch b_e = N_e on
     the current strategy, where the batch latency equals the full-load
     marginal-cost latency; deviations always pay full load. The verdict
-    is therefore independent of the batch counts.
+    is therefore independent of the batch counts, and the worst
+    violation is the marginal-mode Wardrop gap, read from the same
+    vector view as every other equilibrium check.
     """
-    if not is_feasible(game, flow):
-        raise ValueError("infeasible flow")
+    worst = wardrop_gap(game, flow, "marginal", eps_use)
     _check_cover(game, batch_system)
-    loads = edge_loads(game, flow)
-    worst = 0.0
-    for ptype in game.player_types:
-        if not ptype.strategies:
-            continue
-        full_cost = []
-        for strategy in ptype.strategies:
-            full_cost.append(
-                sum(
-                    game.edge(edge_id).latency.marginal()(loads.total[edge_id])
-                    for edge_id in sorted(strategy)
-                )
-            )
-        cheapest = min(full_cost)
-        for s, strategy in enumerate(ptype.strategies):
-            if flow.amount(ptype.id, s) > eps_use:
-                lhs = sum(
-                    batch_latency(
-                        game, loads, edge_id, batch_system.counts[edge_id],
-                        batch_system.counts[edge_id],
-                    )
-                    for edge_id in sorted(strategy)
-                )
-                worst = max(worst, lhs - cheapest)
-    worst = max(worst, 0.0)
     return BatchEquilibrium(is_equilibrium=worst <= tol, max_violation=worst)
 
 

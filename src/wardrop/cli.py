@@ -22,7 +22,7 @@ from .batch import (
     mechanism_pipeline,
     verify_batch_equilibrium,
 )
-from .model import GameValidationError
+from .model import GameValidationError, social_cost
 from .solver import ConvergenceError, SolverParams, potential, solve, wardrop_gap
 
 
@@ -185,8 +185,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     for (type_id, index), amount in sorted(flow.amounts.items()):
         print(f"type {type_id} strategy {index}: {amount:.6f}")
     print(f"potential: {potential(game, flow, args.mode):.6f}")
-    from .model import social_cost
-
     print(f"social cost: {social_cost(game, flow):.6f}")
     return 0
 

@@ -6,6 +6,10 @@ strategies (subsets of edges). Flows assign per-strategy amounts, edge
 loads aggregate them, and the two scalar functionals (social cost and
 per-type cost) are evaluated here.
 
+Every evaluation, here and in the solver and batch pricing, goes through
+one dense vector view of the game (_GameArrays), built on first use and
+kept on the frozen Game.
+
 All structural invariants are checked by validate_game, which returns a
 report instead of raising so a bad input can be diagnosed in full. The
 operations below raise ValueError only for genuine contract violations
@@ -14,7 +18,11 @@ operations below raise ValueError only for genuine contract violations
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .latency import MAX_DEGREE, LatencyFunction
 
@@ -85,6 +93,10 @@ class Game:
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.edges)
 
+    @cached_property
+    def _arrays(self) -> _GameArrays:
+        return _GameArrays(self)
+
 
 @dataclass(frozen=True)
 class Flow:
@@ -135,9 +147,10 @@ def validate_game(game: Game) -> list[Violation]:
     """Check every structural invariant and return all violations found.
 
     An empty list means the game is well formed. Checks: nonempty
-    coefficient lists, nonnegative coefficients, degree cap, unique edge
-    and type ids, nonnegative demands, strategies present whenever demand
-    is positive, nonempty strategies, and strategy edges that exist.
+    coefficient lists, finite nonnegative coefficients, degree cap, unique
+    edge and type ids, finite nonnegative demands, strategies present
+    whenever demand is positive, nonempty strategies, and strategy edges
+    that exist.
     """
     violations: list[Violation] = []
     seen_edge_ids: set[str] = set()
@@ -156,7 +169,11 @@ def validate_game(game: Game) -> list[Violation]:
                 )
             )
         for j, c in enumerate(coeffs):
-            if c < 0:
+            if not math.isfinite(c):
+                violations.append(
+                    Violation(f"edges[{k}].latency.coeffs[{j}]", f"non-finite coefficient {c}")
+                )
+            elif c < 0:
                 violations.append(
                     Violation(f"edges[{k}].latency.coeffs[{j}]", f"negative coefficient {c}")
                 )
@@ -167,7 +184,11 @@ def validate_game(game: Game) -> list[Violation]:
                 Violation(f"player_types[{k}].id", f"duplicate player type id '{ptype.id}'")
             )
         seen_type_ids.add(ptype.id)
-        if ptype.demand < 0:
+        if not math.isfinite(ptype.demand):
+            violations.append(
+                Violation(f"player_types[{k}].demand", f"non-finite demand {ptype.demand}")
+            )
+        elif ptype.demand < 0:
             violations.append(
                 Violation(f"player_types[{k}].demand", f"negative demand {ptype.demand}")
             )
@@ -191,36 +212,125 @@ def validate_game(game: Game) -> list[Violation]:
     return violations
 
 
+class _GameArrays:
+    """Dense vector view of a game.
+
+    Flow vectors are indexed by (type, strategy) keys in game order, and
+    spans maps each type id to its slice of them. Loads are
+    flow @ incidence. Latency coefficients are padded into one matrix per
+    mode, so a whole load vector evaluates in one Horner sweep; the
+    leading zeros of the padding are exact, so every entry equals the
+    scalar Horner value of its own polynomial.
+    """
+
+    def __init__(self, game: Game):
+        n_edges = len(game.edges)
+        self.edge_index = {e.id: k for k, e in enumerate(game.edges)}
+        keys: list[tuple[str, int]] = []
+        cells: list[tuple[int, int]] = []
+        self.spans: dict[str, tuple[int, int]] = {}
+        self.demands = {t.id: t.demand for t in game.player_types}
+        for ptype in game.player_types:
+            start = len(keys)
+            for s, strategy in enumerate(ptype.strategies):
+                cells.extend((len(keys), self.edge_index[edge_id]) for edge_id in strategy)
+                keys.append((ptype.id, s))
+            self.spans[ptype.id] = (start, len(keys))
+        self.keys = keys
+        self.row_index = {key: r for r, key in enumerate(keys)}
+        self.incidence = np.zeros((len(keys), n_edges))
+        for row, col in cells:
+            self.incidence[row, col] = 1.0
+        original = [e.latency.coeffs for e in game.edges]
+        bank = np.zeros((n_edges, max(map(len, original), default=1) or 1))
+        for k, coeffs in enumerate(original):
+            bank[k, : len(coeffs)] = coeffs
+        powers = np.arange(1.0, bank.shape[1] + 1.0)
+        # The marginal-cost transform is a_j -> (j + 1) * a_j.
+        self.coeff_banks = {"original": bank, "marginal": bank * powers}
+        self.integral_banks = {mode: b / powers for mode, b in self.coeff_banks.items()}
+        # Plain tuples of the same coefficients for scalar work (line
+        # search, Riemann sums), where numpy call overhead dominates.
+        marginal = [e.latency.marginal().coeffs for e in game.edges]
+        self.coeff_tuples = {"original": original, "marginal": marginal}
+
+    def flow_vector(self, flow: Flow) -> np.ndarray:
+        f = np.zeros(len(self.keys))
+        for (type_id, index), amount in flow.amounts.items():
+            row = self.row_index.get((type_id, index))
+            if row is None:
+                if type_id not in self.spans:
+                    raise ValueError(f"unknown player type '{type_id}'")
+                raise ValueError(
+                    f"strategy index {index} out of range for player type '{type_id}'"
+                )
+            f[row] = amount
+        return f
+
+    def to_flow(self, f: np.ndarray) -> Flow:
+        return Flow({key: float(v) for key, v in zip(self.keys, f)})
+
+    def loads(self, f: np.ndarray) -> np.ndarray:
+        return f @ self.incidence
+
+    def type_loads(self, f: np.ndarray, type_id: str) -> np.ndarray:
+        start, stop = self.spans[type_id]
+        return f[start:stop] @ self.incidence[start:stop]
+
+    def edge_values(self, bank: np.ndarray, x: np.ndarray) -> np.ndarray:
+        acc = np.zeros_like(x)
+        for j in range(bank.shape[1] - 1, -1, -1):
+            acc = acc * x + bank[:, j]
+        return acc
+
+    def edge_costs(self, x: np.ndarray) -> np.ndarray:
+        """Per-edge cost l_e(x_e) * x_e."""
+        return self.edge_values(self.coeff_banks["original"], x) * x
+
+    def strategy_costs(self, x: np.ndarray, mode: str) -> np.ndarray:
+        return self.incidence @ self.edge_values(self.coeff_banks[mode], x)
+
+    def potential(self, x: np.ndarray, mode: str) -> float:
+        return float(x @ self.edge_values(self.integral_banks[mode], x))
+
+    def all_or_nothing(self, costs: np.ndarray) -> np.ndarray:
+        """Each type's demand on its cheapest strategy, ties toward the
+        lowest index."""
+        f = np.zeros(len(self.keys))
+        for type_id, (start, stop) in self.spans.items():
+            if stop > start:
+                f[start + int(np.argmin(costs[start:stop]))] = self.demands[type_id]
+            elif self.demands[type_id] > 0:
+                raise ValueError(
+                    f"player type '{type_id}' has positive demand but no strategies"
+                )
+        return f
+
+
 def edge_loads(game: Game, flow: Flow) -> EdgeLoads:
     """Aggregate a flow into per-type and total edge loads.
 
     Raises ValueError if the flow references an unknown player type or a
     strategy index out of range.
     """
-    per_type = {(e.id, t.id): 0.0 for e in game.edges for t in game.player_types}
-    for (type_id, index), amount in flow.amounts.items():
-        ptype = game.player_type(type_id)
-        if not 0 <= index < len(ptype.strategies):
-            raise ValueError(
-                f"strategy index {index} out of range for player type '{type_id}'"
-            )
-        for edge_id in ptype.strategies[index]:
-            per_type[(edge_id, type_id)] += amount
-    total = {
-        e.id: sum(per_type[(e.id, t.id)] for t in game.player_types) for e in game.edges
+    view = game._arrays
+    f = view.flow_vector(flow)
+    per_type = {
+        (edge_id, type_id): x
+        for type_id in view.spans
+        for edge_id, x in zip(game.edge_ids, view.type_loads(f, type_id).tolist())
     }
-    return EdgeLoads(per_type=per_type, total=total)
+    return EdgeLoads(per_type=per_type, total=dict(zip(game.edge_ids, view.loads(f).tolist())))
 
 
 def is_feasible(game: Game, flow: Flow, tol: float = FEASIBILITY_TOL) -> bool:
     """True iff all amounts are nonnegative, reference existing strategies,
     and each type's amounts sum to its demand within tol."""
     sums = {t.id: 0.0 for t in game.player_types}
-    by_id = {t.id: t for t in game.player_types}
     for (type_id, index), amount in flow.amounts.items():
         if amount < 0:
             return False
-        ptype = by_id.get(type_id)
+        ptype = game._types_by_id.get(type_id)
         if ptype is None or not 0 <= index < len(ptype.strategies):
             return False
         sums[type_id] += amount
@@ -231,17 +341,16 @@ def social_cost(game: Game, flow: Flow, tol: float = FEASIBILITY_TOL) -> float:
     """Total cost sum_e l_e(x_e) * x_e of a feasible flow."""
     if not is_feasible(game, flow, tol):
         raise ValueError("infeasible flow")
-    loads = edge_loads(game, flow)
-    return sum(e.latency(loads.total[e.id]) * loads.total[e.id] for e in game.edges)
+    view = game._arrays
+    return float(view.edge_costs(view.loads(view.flow_vector(flow))).sum())
 
 
 def player_cost(game: Game, flow: Flow, type_id: str, tol: float = FEASIBILITY_TOL) -> float:
     """Cost borne by one player type: sum_e l_e(x_e) * x_e^i."""
-    ptype = game.player_type(type_id)
+    game.player_type(type_id)  # raises for an unknown type
     if not is_feasible(game, flow, tol):
         raise ValueError("infeasible flow")
-    loads = edge_loads(game, flow)
-    return sum(
-        e.latency(loads.total[e.id]) * loads.per_type[(e.id, ptype.id)]
-        for e in game.edges
-    )
+    view = game._arrays
+    f = view.flow_vector(flow)
+    latencies = view.edge_values(view.coeff_banks["original"], view.loads(f))
+    return float(latencies @ view.type_loads(f, type_id))

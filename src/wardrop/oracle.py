@@ -16,7 +16,7 @@ import numpy as np
 
 from .batch import BatchSystem
 from .latency import LatencyFunction
-from .model import Flow, Game
+from .model import Flow, Game, is_feasible
 
 # Enumeration guards.
 MAX_GRID_POINTS = 10**7
@@ -84,6 +84,17 @@ def _count_compositions(total: int, parts: int) -> int:
     return comb(total + parts - 1, parts - 1)
 
 
+def _incidence(game: Game, keys: list[tuple[str, int]]) -> np.ndarray:
+    """0/1 matrix of the given (type, strategy) rows by game edges, built
+    here rather than taken from the game's vector view."""
+    edge_pos = {e.id: k for k, e in enumerate(game.edges)}
+    incidence = np.zeros((len(keys), len(game.edges)))
+    for r, (type_id, s) in enumerate(keys):
+        for edge_id in game.player_type(type_id).strategies[s]:
+            incidence[r, edge_pos[edge_id]] = 1.0
+    return incidence
+
+
 def grid_search_equilibrium(game: Game, resolution: float, mode: str) -> Flow:
     """Minimize the mode potential over a per-type simplex grid.
 
@@ -134,12 +145,7 @@ def grid_search_equilibrium(game: Game, resolution: float, mode: str) -> Flow:
     if not keys:
         return Flow({})
 
-    # Own incidence and integral coefficients, independent of the solver.
-    edge_pos = {e.id: k for k, e in enumerate(game.edges)}
-    incidence = np.zeros((len(keys), len(game.edges)))
-    for r, (type_id, s) in enumerate(keys):
-        for edge_id in game.player_type(type_id).strategies[s]:
-            incidence[r, edge_pos[edge_id]] = 1.0
+    incidence = _incidence(game, keys)
     integral_polys = []
     for e in game.edges:
         p = _high_first(e.latency) if mode == "original" else _marginal_high_first(e.latency)
@@ -188,11 +194,11 @@ def exhaustive_batch_verify(
     every alternative strategy's full-load cost. Guarded to
     MAX_BATCH_ASSIGNMENTS combinations per used strategy.
     """
-    from .model import edge_loads, is_feasible
-
     if not is_feasible(game, flow):
         raise ValueError("infeasible flow")
-    loads = edge_loads(game, flow)
+    keys = [(t.id, s) for t in game.player_types for s in range(len(t.strategies))]
+    amounts = np.array([flow.amount(*key) for key in keys])
+    loads = dict(zip(game.edge_ids, (amounts @ _incidence(game, keys)).tolist()))
     marginal_polys = {e.id: _marginal_high_first(e.latency) for e in game.edges}
 
     for ptype in game.player_types:
@@ -200,7 +206,7 @@ def exhaustive_batch_verify(
             continue
         alternatives = [
             sum(
-                float(np.polyval(marginal_polys[edge_id], loads.total[edge_id]))
+                float(np.polyval(marginal_polys[edge_id], loads[edge_id]))
                 for edge_id in sorted(strategy)
             )
             for strategy in ptype.strategies
@@ -221,7 +227,7 @@ def exhaustive_batch_verify(
             per_edge_values = [
                 np.polyval(
                     marginal_polys[edge_id],
-                    (np.arange(1, count + 1, dtype=float) / count) * loads.total[edge_id],
+                    (np.arange(1, count + 1, dtype=float) / count) * loads[edge_id],
                 )
                 for edge_id, count in zip(edges, counts)
             ]

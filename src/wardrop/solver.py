@@ -13,6 +13,9 @@ Mode "original" prices edges by their latency and yields a Wardrop
 equilibrium; mode "marginal" prices them by the marginal-cost transform,
 whose potential is the social cost itself, so the result is a social
 optimum.
+
+The loop, the potential and the equilibrium gap all read the game's
+vector view, model._GameArrays.
 """
 
 from __future__ import annotations
@@ -22,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    EdgeLoads,
     Flow,
     Game,
     GameValidationError,
-    edge_loads,
+    _GameArrays,
     is_feasible,
     social_cost,
     validate_game,
@@ -77,97 +79,6 @@ class ConvergenceError(RuntimeError):
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got '{mode}'")
-
-
-class _GameArrays:
-    """Dense vector view of a game for the solver hot loop.
-
-    Flow vectors are indexed by (type, strategy) keys in game order;
-    loads are flow @ incidence. Latency coefficients are padded into one
-    matrix per mode so a whole load vector evaluates in one Horner sweep.
-    """
-
-    def __init__(self, game: Game):
-        self.game = game
-        self.edge_index = {e.id: k for k, e in enumerate(game.edges)}
-        n_edges = len(game.edges)
-        keys: list[tuple[str, int]] = []
-        spans: list[tuple[int, int]] = []
-        rows: list[np.ndarray] = []
-        for ptype in game.player_types:
-            start = len(keys)
-            for s, strategy in enumerate(ptype.strategies):
-                keys.append((ptype.id, s))
-                row = np.zeros(n_edges)
-                for edge_id in strategy:
-                    row[self.edge_index[edge_id]] = 1.0
-                rows.append(row)
-            spans.append((start, len(keys)))
-        self.keys = keys
-        self.row_index = {key: r for r, key in enumerate(keys)}
-        self.spans = spans
-        self.incidence = np.array(rows) if rows else np.zeros((0, n_edges))
-        self.demands = [float(t.demand) for t in game.player_types]
-        original = [e.latency.coeffs for e in game.edges]
-        marginal = [e.latency.marginal().coeffs for e in game.edges]
-        self.coeff_banks = {
-            "original": _pad_bank(original, n_edges),
-            "marginal": _pad_bank(marginal, n_edges),
-        }
-        # Plain tuples of the same coefficients for scalar work in the
-        # line search, where numpy call overhead dominates.
-        self.coeff_tuples = {"original": original, "marginal": marginal}
-        self.integral_banks = {
-            mode: bank / np.arange(1.0, bank.shape[1] + 1.0)
-            for mode, bank in self.coeff_banks.items()
-        }
-
-    def loads(self, f: np.ndarray) -> np.ndarray:
-        if self.incidence.shape[0] == 0:
-            return np.zeros(self.incidence.shape[1])
-        return f @ self.incidence
-
-    def edge_values(self, bank: np.ndarray, x: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(x)
-        for j in range(bank.shape[1] - 1, -1, -1):
-            acc = acc * x + bank[:, j]
-        return acc
-
-    def strategy_costs(self, x: np.ndarray, mode: str) -> np.ndarray:
-        return self.incidence @ self.edge_values(self.coeff_banks[mode], x)
-
-    def potential(self, x: np.ndarray, mode: str) -> float:
-        return float(x @ self.edge_values(self.integral_banks[mode], x))
-
-    def all_or_nothing(self, costs: np.ndarray) -> np.ndarray:
-        f = np.zeros(len(self.keys))
-        for (start, stop), ptype in zip(self.spans, self.game.player_types):
-            if stop > start:
-                f[start + int(np.argmin(costs[start:stop]))] = ptype.demand
-            elif ptype.demand > 0:
-                raise ValueError(
-                    f"player type '{ptype.id}' has positive demand but no strategies"
-                )
-        return f
-
-    def flow_vector(self, flow: Flow) -> np.ndarray:
-        f = np.zeros(len(self.keys))
-        for key, amount in flow.amounts.items():
-            if key not in self.row_index:
-                raise ValueError(f"flow references unknown strategy {key}")
-            f[self.row_index[key]] = amount
-        return f
-
-    def to_flow(self, f: np.ndarray) -> Flow:
-        return Flow({key: float(v) for key, v in zip(self.keys, f)})
-
-
-def _pad_bank(coeff_lists: list[tuple[float, ...]], n_edges: int) -> np.ndarray:
-    width = max((len(c) for c in coeff_lists), default=1) or 1
-    bank = np.zeros((n_edges, width))
-    for k, coeffs in enumerate(coeff_lists):
-        bank[k, : len(coeffs)] = coeffs
-    return bank
 
 
 def _bisect_gamma(
@@ -226,76 +137,13 @@ def _descend(
     return f + gamma * (target - f)
 
 
-def strategy_latency(
-    game: Game, loads: EdgeLoads, type_id: str, strategy_index: int, mode: str
-) -> float:
-    """Latency of one strategy at the given loads, in the given mode."""
-    _check_mode(mode)
-    ptype = game.player_type(type_id)
-    if not 0 <= strategy_index < len(ptype.strategies):
-        raise ValueError(
-            f"strategy index {strategy_index} out of range for player type '{type_id}'"
-        )
-    total = 0.0
-    for edge_id in sorted(ptype.strategies[strategy_index]):
-        fn = game.edge(edge_id).latency
-        if mode == "marginal":
-            fn = fn.marginal()
-        total += fn(loads.total[edge_id])
-    return total
-
-
-def best_response(game: Game, loads: EdgeLoads, mode: str) -> Flow:
-    """All-or-nothing flow: each type's demand on its cheapest strategy.
-
-    Ties break toward the lowest strategy index. Raises ValueError for a
-    type with positive demand and no strategies.
-    """
-    _check_mode(mode)
-    amounts: dict[tuple[str, int], float] = {}
-    for ptype in game.player_types:
-        if not ptype.strategies:
-            if ptype.demand > 0:
-                raise ValueError(
-                    f"player type '{ptype.id}' has positive demand but no strategies"
-                )
-            continue
-        costs = [
-            strategy_latency(game, loads, ptype.id, s, mode)
-            for s in range(len(ptype.strategies))
-        ]
-        pick = min(range(len(costs)), key=costs.__getitem__)
-        for s in range(len(ptype.strategies)):
-            amounts[(ptype.id, s)] = ptype.demand if s == pick else 0.0
-    return Flow(amounts)
-
-
-def line_search(
-    game: Game, current: Flow, target: Flow, mode: str, tol: float = 1e-12
-) -> float:
-    """Step size in [0, 1] minimizing the potential between two flows.
-
-    Returns 0 when the potential cannot decrease toward the target (in
-    particular when current equals target).
-    """
-    _check_mode(mode)
-    arrays = _GameArrays(game)
-    x_current = arrays.loads(arrays.flow_vector(current))
-    x_target = arrays.loads(arrays.flow_vector(target))
-    return _bisect_gamma(arrays, x_current, x_target, mode, tol)
-
-
 def potential(game: Game, flow: Flow, mode: str) -> float:
     """Beckmann-style objective: sum over edges of the mode latency
     integral from 0 to the edge load. In marginal mode this equals the
     social cost of the flow."""
     _check_mode(mode)
-    loads = edge_loads(game, flow)
-    total = 0.0
-    for e in game.edges:
-        fn = e.latency.marginal() if mode == "marginal" else e.latency
-        total += fn.integral(loads.total[e.id])
-    return total
+    view = game._arrays
+    return view.potential(view.loads(view.flow_vector(flow)), mode)
 
 
 def solve(
@@ -318,7 +166,7 @@ def solve(
     report = validate_game(game)
     if report:
         raise GameValidationError(report)
-    arrays = _GameArrays(game)
+    arrays = game._arrays
     if initial_flow is None:
         zero = np.zeros(len(game.edges))
         f = arrays.all_or_nothing(arrays.strategy_costs(zero, mode))
@@ -345,7 +193,7 @@ def solve(
         f = _descend(arrays, f, target, mode, params.line_search_tol)
         # Rebalance each type: drain the costliest used strategy into the
         # cheapest until no profitable pair remains this round.
-        for start, stop in arrays.spans:
+        for start, stop in arrays.spans.values():
             for _ in range(stop - start):
                 x = arrays.loads(f)
                 seg_costs = arrays.strategy_costs(x, mode)[start:stop]
@@ -382,20 +230,16 @@ def wardrop_gap(game: Game, flow: Flow, mode: str, eps_use: float = EPS_USE) -> 
     _check_mode(mode)
     if not is_feasible(game, flow):
         raise ValueError("infeasible flow")
-    loads = edge_loads(game, flow)
+    view = game._arrays
+    f = view.flow_vector(flow)
+    costs = view.strategy_costs(view.loads(f), mode)
     worst = 0.0
-    for ptype in game.player_types:
-        if not ptype.strategies:
-            continue
-        costs = [
-            strategy_latency(game, loads, ptype.id, s, mode)
-            for s in range(len(ptype.strategies))
-        ]
-        cheapest = min(costs)
-        for s, cost in enumerate(costs):
-            if flow.amount(ptype.id, s) > eps_use:
-                worst = max(worst, cost - cheapest)
-    return max(worst, 0.0)
+    for start, stop in view.spans.values():
+        used = f[start:stop] > eps_use
+        if used.any():
+            span_costs = costs[start:stop]
+            worst = max(worst, float(span_costs[used].max() - span_costs.min()))
+    return worst
 
 
 def price_of_anarchy(game: Game, params: SolverParams | None = None) -> float:

@@ -218,6 +218,40 @@ def test_invalid_game_exits_3(capsys, tmp_path):
     assert "negative coefficient" in err
 
 
+def one_edge_game(path, coeff, demand):
+    # json.dumps writes NaN and Infinity, which json.loads reads back.
+    path.write_text(
+        json.dumps(
+            {
+                "edges": [{"id": "e1", "latency": {"coeffs": [coeff]}}],
+                "player_types": [{"id": "t1", "demand": demand, "strategies": [["e1"]]}],
+            }
+        )
+    )
+    return str(path)
+
+
+def test_nan_coefficient_exits_3(capsys, tmp_path):
+    path = one_edge_game(tmp_path / "nan_coeff.json", float("nan"), 1.0)
+    code, _, err = run_lines(capsys, "solve", path)
+    assert code == 3
+    assert "edges[0].latency.coeffs[0]: non-finite coefficient nan" in err
+
+
+def test_nan_demand_exits_3(capsys, tmp_path):
+    path = one_edge_game(tmp_path / "nan_demand.json", 1.0, float("nan"))
+    code, _, err = run_lines(capsys, "solve", path)
+    assert code == 3
+    assert "player_types[0].demand: non-finite demand nan" in err
+
+
+def test_infinite_demand_exits_3(capsys, tmp_path):
+    path = one_edge_game(tmp_path / "inf_demand.json", 1.0, float("inf"))
+    code, _, err = run_lines(capsys, "solve", path)
+    assert code == 3
+    assert "player_types[0].demand: non-finite demand inf" in err
+
+
 def test_unknown_flow_type_exits_3(capsys, tmp_path):
     flow_path = tmp_path / "flow.json"
     flow_path.write_text(

@@ -11,6 +11,7 @@ from wardrop import (
     edge_loads,
     is_feasible,
     player_cost,
+    potential,
     social_cost,
     validate_game,
 )
@@ -38,6 +39,17 @@ def test_validate_negative_coefficient():
     assert len(report) == 1
     assert report[0].path == "edges[0].latency.coeffs[1]"
     assert "negative coefficient" in report[0].message
+
+
+def test_validate_non_finite_values():
+    nan, inf = float("nan"), float("inf")
+    report = validate_game(pigou_variant(coeffs_e1=(nan,), coeffs_e2=(0.0, -inf), demand=inf))
+    assert [(v.path, v.message) for v in report] == [
+        ("edges[0].latency.coeffs[0]", "non-finite coefficient nan"),
+        ("edges[1].latency.coeffs[1]", "non-finite coefficient -inf"),
+        ("player_types[0].demand", "non-finite demand inf"),
+    ]
+    assert any("non-finite demand nan" in v.message for v in validate_game(pigou_variant(demand=nan)))
 
 
 def test_validate_empty_coefficients():
@@ -232,3 +244,30 @@ def test_player_costs_sum_to_social_cost():
         total = social_cost(game, flow)
         parts = sum(player_cost(game, flow, t.id) for t in game.player_types)
         assert parts == pytest.approx(total, rel=1e-12, abs=1e-12)
+
+
+def test_evaluators_match_independent_polynomial_path():
+    # social_cost, potential and edge_loads share the game's vector view;
+    # rebuild each from a local incidence and numpy's polynomial routines.
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        game = random_game(rng)
+        flow = random_feasible_flow(game, rng)
+        rows = [
+            (t.id, s, strategy) for t in game.player_types for s, strategy in enumerate(t.strategies)
+        ]
+        incidence = np.array(
+            [[1.0 if e.id in strategy else 0.0 for e in game.edges] for _, _, strategy in rows]
+        )
+        loads = np.array([flow.amount(t, s) for t, s, _ in rows]) @ incidence
+        latencies = [np.array(e.latency.coeffs[::-1]) for e in game.edges]
+        marginals = [np.polyadd(p, np.polymul(np.polyder(p), [1.0, 0.0])) for p in latencies]
+
+        assert list(edge_loads(game, flow).total.values()) == pytest.approx(
+            list(loads), rel=1e-12
+        )
+        cost = sum(np.polyval(p, x) * x for p, x in zip(latencies, loads))
+        assert social_cost(game, flow) == pytest.approx(cost, rel=1e-12)
+        for mode, polys in (("original", latencies), ("marginal", marginals)):
+            integral = sum(np.polyval(np.polyint(p), x) for p, x in zip(polys, loads))
+            assert potential(game, flow, mode) == pytest.approx(integral, rel=1e-12)

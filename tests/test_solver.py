@@ -17,22 +17,35 @@ from wardrop import (
     LatencyFunction,
     PlayerType,
     SolverParams,
-    best_response,
     edge_loads,
-    line_search,
     player_cost,
     potential,
     price_of_anarchy,
     social_cost,
     solve,
-    strategy_latency,
     wardrop_gap,
 )
 from wardrop.oracle import grid_search_equilibrium
+from wardrop.solver import _bisect_gamma
 
 
-def zero_loads(game):
-    return edge_loads(game, Flow({}))
+def view_loads(game, flow):
+    view = game._arrays
+    return view.loads(view.flow_vector(flow))
+
+
+def best_response_flow(game, flow, mode):
+    """All-or-nothing flow against the loads of `flow`, as the solver
+    builds it from the game's vector view."""
+    view = game._arrays
+    return view.to_flow(view.all_or_nothing(view.strategy_costs(view_loads(game, flow), mode)))
+
+
+def bisection_step(game, current, target, mode):
+    """The solver's exact line search between the loads of two flows."""
+    return _bisect_gamma(
+        game._arrays, view_loads(game, current), view_loads(game, target), mode, 1e-12
+    )
 
 
 def test_solver_params_validation():
@@ -45,35 +58,27 @@ def test_solver_params_validation():
 
 
 def test_strategy_latency_twotype(twotype):
-    loads = edge_loads(twotype, Flow({("t1", 0): 0.5, ("t2", 0): 0.5}))
-    assert strategy_latency(twotype, loads, "t1", 0, "original") == 1.0
-    assert strategy_latency(twotype, loads, "t1", 1, "original") == 1.0
-    assert strategy_latency(twotype, loads, "t1", 0, "marginal") == 2.0
-
-
-def test_strategy_latency_errors(pigou):
-    loads = zero_loads(pigou)
-    with pytest.raises(ValueError, match="unknown player type"):
-        strategy_latency(pigou, loads, "t9", 0, "original")
-    with pytest.raises(ValueError, match="out of range"):
-        strategy_latency(pigou, loads, "t1", 5, "original")
-    with pytest.raises(ValueError, match="mode"):
-        strategy_latency(pigou, loads, "t1", 0, "beckmann")
+    view = twotype._arrays
+    x = view_loads(twotype, Flow({("t1", 0): 0.5, ("t2", 0): 0.5}))
+    original = view.strategy_costs(x, "original")
+    marginal = view.strategy_costs(x, "marginal")
+    assert original[view.row_index[("t1", 0)]] == 1.0
+    assert original[view.row_index[("t1", 1)]] == 1.0
+    assert marginal[view.row_index[("t1", 0)]] == 2.0
 
 
 def test_best_response_at_zero_loads(pigou):
-    flow = best_response(pigou, zero_loads(pigou), "original")
+    flow = best_response_flow(pigou, Flow({}), "original")
     assert flow.amounts == {("t1", 0): 0.0, ("t1", 1): 1.0}
 
 
 def test_best_response_tie_breaks_low_index(pigou):
-    loads = edge_loads(pigou, Flow({("t1", 0): 0.0, ("t1", 1): 1.0}))
-    flow = best_response(pigou, loads, "original")
+    flow = best_response_flow(pigou, Flow({("t1", 0): 0.0, ("t1", 1): 1.0}), "original")
     assert flow.amounts == {("t1", 0): 1.0, ("t1", 1): 0.0}
 
 
 def test_best_response_single_strategy(mono):
-    flow = best_response(mono, zero_loads(mono), "marginal")
+    flow = best_response_flow(mono, Flow({}), "marginal")
     assert flow.amounts == {("t1", 0): 1.0}
 
 
@@ -83,26 +88,26 @@ def test_best_response_rejects_demand_without_strategies():
         player_types=(PlayerType("t1", 1.0, ()),),
     )
     with pytest.raises(ValueError, match="no strategies"):
-        best_response(game, zero_loads(game), "original")
+        best_response_flow(game, Flow({}), "original")
 
 
 def test_line_search_boundary(pigou):
     all_e1 = Flow({("t1", 0): 1.0, ("t1", 1): 0.0})
     all_e2 = Flow({("t1", 0): 0.0, ("t1", 1): 1.0})
     # Potential (1 - g) + g^2 / 2 decreases over the whole interval.
-    assert line_search(pigou, all_e1, all_e2, "original") == 1.0
+    assert bisection_step(pigou, all_e1, all_e2, "original") == 1.0
 
 
 def test_line_search_interior(pigou):
     all_e1 = Flow({("t1", 0): 1.0, ("t1", 1): 0.0})
     all_e2 = Flow({("t1", 0): 0.0, ("t1", 1): 1.0})
     # Marginal potential g + (1 - g)^2 has its minimum at g = 1/2.
-    assert line_search(pigou, all_e2, all_e1, "marginal") == pytest.approx(0.5, abs=1e-9)
+    assert bisection_step(pigou, all_e2, all_e1, "marginal") == pytest.approx(0.5, abs=1e-9)
 
 
 def test_line_search_identical_flows(pigou):
     flow = Flow({("t1", 0): 0.5, ("t1", 1): 0.5})
-    assert line_search(pigou, flow, flow, "original") == 0.0
+    assert bisection_step(pigou, flow, flow, "original") == 0.0
 
 
 def test_potential_values(pigou):
@@ -196,8 +201,8 @@ def test_potential_monotone_under_best_response_steps():
         flow = random_feasible_flow(game, rng)
         value = potential(game, flow, "original")
         for _ in range(40):
-            target = best_response(game, edge_loads(game, flow), "original")
-            gamma = line_search(game, flow, target, "original")
+            target = best_response_flow(game, flow, "original")
+            gamma = bisection_step(game, flow, target, "original")
             flow = mix_flows(flow, target, gamma)
             stepped = potential(game, flow, "original")
             assert stepped <= value + 1e-12
