@@ -4,26 +4,27 @@ Each edge's load is split into N_e equal batches and batch b pays the
 marginal-cost latency evaluated at the fraction b / N_e of the load. The
 per-edge total is then a right-endpoint Riemann sum of the marginal-cost
 latency, which upper-bounds the plain edge cost and converges to it as
-batch counts grow. select_batch_system inverts the Riemann error bound
-to hit any requested total overshoot, and verify_batch_equilibrium
-checks the induced game's equilibrium condition at its worst case.
-Loads, plain edge costs and marginal latencies of a whole flow come
-from the game's vector view (model._GameArrays).
+batch counts grow. For a polynomial that sum is exact in the power sums
+S_j(N) = sum_b b^j (Faulhaber), so pricing an edge costs O(degree^2)
+integer operations for any N, and the overshoot over the plain cost is
+summed directly from nonnegative terms rather than as a difference.
+select_batch_system inverts the Riemann error bound to hit any requested
+total overshoot, and verify_batch_equilibrium checks the induced game's
+equilibrium condition at its worst case. Loads, plain edge costs and
+marginal latencies of a whole flow come from the game's vector view
+(model._GameArrays).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .model import FEASIBILITY_TOL, EdgeLoads, Flow, Game, is_feasible
+from .model import FEASIBILITY_TOL, EdgeLoads, Flow, Game, _GameArrays, is_feasible
 from .solver import EPS_USE, SolverParams, SolveResult, solve, wardrop_gap
-
-# Chunk size for batch sums; bounds memory when a tight epsilon demands
-# batch counts in the millions, with a fixed size so sums stay
-# deterministic.
-_SUM_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -138,26 +139,57 @@ def batch_schedule(
     ]
 
 
-def _riemann_sum(coeffs: tuple[float, ...], x: float, n: int) -> float:
-    """(x / n) * sum_b p((b / n) * x) for the polynomial p with the given
-    coefficients, lowest power first."""
-    total = 0.0
-    for chunk_start in range(1, n + 1, _SUM_CHUNK):
-        chunk_stop = min(chunk_start + _SUM_CHUNK, n + 1)
-        z = (np.arange(chunk_start, chunk_stop, dtype=float) / n) * x
-        acc = np.zeros_like(z)
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        total += float(acc.sum())
-    return x / n * total
+def _riemann_factors(n: int, width: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Per-power factors of the right Riemann sum with n panels on [0, 1].
+
+    With S_j(n) = sum_{b=1..n} b^j, returns ratio_j = S_j(n) / n^(j+1)
+    and excess_j = ratio_j - 1 / (j + 1) >= 0 for j < width, each
+    correctly rounded from exact integers. The power sums come from the
+    binomial recurrence (n+1)^(j+1) - 1 = sum_{k<=j} C(j+1, k) S_k(n).
+    """
+    sums: list[int] = []
+    rise = n + 1
+    for j in range(width):
+        rest = sum(math.comb(j + 1, k) * sums[k] for k in range(j))
+        sums.append((rise - 1 - rest) // (j + 1))
+        rise *= n + 1
+    ratio, excess = [], []
+    scale = n
+    for j, s in enumerate(sums):
+        ratio.append(s / scale)
+        excess.append(((j + 1) * s - scale) / ((j + 1) * scale))
+        scale *= n
+    return tuple(ratio), tuple(excess)
+
+
+def _price(
+    view: _GameArrays, bank: np.ndarray, x: np.ndarray, counts: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batch costs and overshoot gaps, one per row of the marginal
+    coefficient bank, at loads x and the given batch counts.
+
+    With marginal coefficients c_j, an edge's batch cost is
+    sum_j c_j x^(j+1) ratio_j and its gap over the plain cost is
+    sum_j c_j x^(j+1) excess_j: both sums of nonnegative terms. Power
+    sums are computed once per distinct count.
+    """
+    factors = {n: _riemann_factors(n, bank.shape[1]) for n in set(counts)}
+    ratio = np.array([factors[n][0] for n in counts])
+    excess = np.array([factors[n][1] for n in counts])
+    return view.edge_values(bank * ratio, x) * x, view.edge_values(bank * excess, x) * x
 
 
 def batch_edge_cost(game: Game, loads: EdgeLoads, edge_id: str, n_batches: int) -> float:
     """Total batch cost of one edge: the right-endpoint Riemann sum
-    (x_e / N) * sum_b lhat((b / N) * x_e) of the marginal-cost latency."""
+    (x_e / N) * sum_b lhat((b / N) * x_e) of the marginal-cost latency,
+    in closed form."""
     n = _check_count(n_batches)
-    coeffs = game.edge(edge_id).latency.marginal().coeffs
-    return _riemann_sum(coeffs, loads.total[edge_id], n)
+    game.edge(edge_id)  # raises on an unknown edge id
+    view = game._arrays
+    k = view.edge_index[edge_id]
+    bank = view.coeff_banks["marginal"][k : k + 1]
+    cost, _ = _price(view, bank, np.array([loads.total[edge_id]], dtype=float), [n])
+    return float(cost[0])
 
 
 def batch_social_cost(
@@ -169,25 +201,24 @@ def batch_social_cost(
     _check_cover(game, batch_system)
     view = game._arrays
     x = view.loads(view.flow_vector(flow))
+    counts = [batch_system.counts[edge_id] for edge_id in game.edge_ids]
+    costs, gaps = _price(view, view.coeff_banks["marginal"], x, counts)
     loads, base_costs = x.tolist(), view.edge_costs(x).tolist()
+    costs, gaps = costs.tolist(), gaps.tolist()
     per_edge: dict[str, BatchEdgeReport] = {}
     for edge_id, k in sorted(view.edge_index.items()):
-        n = batch_system.counts[edge_id]
-        batch_cost = _riemann_sum(view.coeff_tuples["marginal"][k], loads[k], n)
         per_edge[edge_id] = BatchEdgeReport(
-            count=n,
+            count=counts[k],
             load=loads[k],
             base_cost=base_costs[k],
-            batch_cost=batch_cost,
-            gap=batch_cost - base_costs[k],
+            batch_cost=costs[k],
+            gap=gaps[k],
         )
-    total_batch = sum(r.batch_cost for r in per_edge.values())
-    total_base = sum(r.base_cost for r in per_edge.values())
     return BatchReport(
         per_edge=per_edge,
-        total_batch_cost=total_batch,
-        total_original_cost=total_base,
-        total_gap=total_batch - total_base,
+        total_batch_cost=sum(r.batch_cost for r in per_edge.values()),
+        total_original_cost=sum(r.base_cost for r in per_edge.values()),
+        total_gap=sum(r.gap for r in per_edge.values()),
     )
 
 
@@ -201,8 +232,8 @@ def select_batch_system(
     N_e gives ceil(x_e * (lhat(x_e) - lhat(0)) * m / epsilon). Unloaded
     edges get N_e = 1.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not is_feasible(game, flow):
         raise ValueError("infeasible flow")
     view = game._arrays
@@ -211,8 +242,17 @@ def select_batch_system(
     span = view.edge_values(marginal, x) - marginal[:, 0]
     loaded = x > eps_use
     budget = epsilon / max(1, int(np.count_nonzero(loaded)))
-    needed = np.where(loaded & (span > 0), np.ceil(x * span / budget), 1.0)
-    return BatchSystem({edge_id: max(1, int(n)) for edge_id, n in zip(game.edge_ids, needed)})
+    # A tiny epsilon can overflow a count to inf; that is reported below.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        needed = np.where(loaded & (span > 0), np.ceil(x * span / budget), 1.0)
+    counts: dict[str, int] = {}
+    for edge_id, n in zip(game.edge_ids, needed.tolist()):
+        if not math.isfinite(n):
+            raise ValueError(
+                f"batch count for edge '{edge_id}' is not finite at epsilon {epsilon!r}"
+            )
+        counts[edge_id] = max(1, int(n))
+    return BatchSystem(counts)
 
 
 def verify_batch_equilibrium(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import IO, Any
 
@@ -85,7 +86,7 @@ def load_flow(path: str | Path, game: Game) -> Flow:
     """Parse a flow file against a game.
 
     Raises FormatError for schema problems, references to unknown types
-    or strategies, duplicate entries, or negative amounts.
+    or strategies, duplicate entries, or negative or non-finite amounts.
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
@@ -108,6 +109,8 @@ def load_flow(path: str | Path, game: Game) -> Flow:
             raise FormatError(
                 f"strategy index {index} out of range for player type '{type_id}'"
             )
+        if not math.isfinite(amount):
+            raise FormatError(f"non-finite amount {amount} for ('{type_id}', {index})")
         if amount < 0:
             raise FormatError(f"negative amount {amount} for ('{type_id}', {index})")
         if (type_id, index) in amounts:

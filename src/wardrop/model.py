@@ -249,8 +249,8 @@ class _GameArrays:
         # The marginal-cost transform is a_j -> (j + 1) * a_j.
         self.coeff_banks = {"original": bank, "marginal": bank * powers}
         self.integral_banks = {mode: b / powers for mode, b in self.coeff_banks.items()}
-        # Plain tuples of the same coefficients for scalar work (line
-        # search, Riemann sums), where numpy call overhead dominates.
+        # Plain tuples of the same coefficients for the scalar line
+        # search, where numpy call overhead dominates.
         marginal = [e.latency.marginal().coeffs for e in game.edges]
         self.coeff_tuples = {"original": original, "marginal": marginal}
 

@@ -20,6 +20,7 @@ vector view, model._GameArrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,9 @@ class SolverParams:
     def __post_init__(self) -> None:
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if self.relative_gap_tol <= 0 or self.line_search_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for tol in (self.relative_gap_tol, self.line_search_tol):
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"tolerances must be positive and finite, got {tol}")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import random_batch_system, random_feasible_flow, random_game
 from wardrop import (
     BatchSystem,
+    Edge,
     EdgeLoads,
     Flow,
+    Game,
+    LatencyFunction,
     MechanismError,
+    PlayerType,
     batch_edge_cost,
     batch_latency,
     batch_schedule,
@@ -18,7 +24,7 @@ from wardrop import (
     verify_batch_equilibrium,
     wardrop_gap,
 )
-from wardrop.oracle import exhaustive_batch_verify
+from wardrop.oracle import exhaustive_batch_verify, riemann_check
 
 OPTIMUM = Flow({("t1", 0): 0.5, ("t1", 1): 0.5})
 SELFISH = Flow({("t1", 0): 0.0, ("t1", 1): 1.0})
@@ -88,6 +94,51 @@ def test_batch_edge_cost_closed_form(pigou):
         assert cost == pytest.approx(0.25 + 0.25 / n, rel=1e-12)
 
 
+# Latencies up to degree 16, so marginal coefficient rows up to width 17.
+latency_coeffs = st.lists(
+    st.floats(min_value=0.0, max_value=10.0, allow_nan=False), min_size=1, max_size=17
+)
+loads_x = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
+
+
+def one_edge_game(coeffs, demand):
+    return Game(
+        edges=(Edge("e", LatencyFunction(tuple(coeffs))),),
+        player_types=(PlayerType("t", demand, (frozenset({"e"}),)),),
+    )
+
+
+@given(coeffs=latency_coeffs, x=loads_x, n=st.integers(min_value=1, max_value=4096))
+def test_batch_edge_cost_matches_oracle_sum(coeffs, x, n):
+    # The closed form against the oracle's explicit sum over all n batches.
+    game = one_edge_game(coeffs, x)
+    cost = batch_edge_cost(game, loads_of({"e": x}), "e", n)
+    reference = riemann_check(game.edge("e").latency.marginal(), x, n)[0]
+    assert cost == pytest.approx(reference, rel=1e-12, abs=1e-15)
+
+
+@given(coeffs=latency_coeffs, x=loads_x, n=st.integers(min_value=1, max_value=2**50))
+def test_batch_gap_nonnegative_and_falls_under_refinement(coeffs, x, n):
+    # Halving every panel never raises a right Riemann sum of a
+    # nondecreasing function; the direct gap keeps that without slack.
+    game = one_edge_game(coeffs, x)
+    flow = Flow({("t", 0): x})
+    coarse = batch_social_cost(game, flow, BatchSystem({"e": n})).per_edge["e"].gap
+    fine = batch_social_cost(game, flow, BatchSystem({"e": 2 * n})).per_edge["e"].gap
+    assert 0.0 <= fine <= coarse
+
+
+def test_batch_pricing_at_huge_counts(pigou):
+    n = 10**12
+    cost = batch_edge_cost(pigou, loads_of({"e1": 0.0, "e2": 0.5}), "e2", n)
+    # abs=0: approx's default absolute tolerance of 1e-12 would swamp both.
+    assert cost == pytest.approx(0.25 + 0.25 / n, rel=1e-15, abs=0.0)
+    report = batch_social_cost(pigou, OPTIMUM, BatchSystem({"e1": 1, "e2": n}))
+    assert report.per_edge["e2"].batch_cost == cost
+    assert report.per_edge["e2"].gap == pytest.approx(0.25 / n, rel=1e-12, abs=0.0)
+    assert report.total_gap == report.per_edge["e1"].gap + report.per_edge["e2"].gap
+
+
 def test_batch_edge_cost_rejects_bad_count(pigou):
     with pytest.raises(ValueError, match=">= 1"):
         batch_edge_cost(pigou, loads_of({"e1": 0.0, "e2": 0.5}), "e2", 0)
@@ -139,6 +190,18 @@ def test_select_batch_system_mono(mono):
 def test_select_batch_system_rejects_bad_epsilon(pigou):
     with pytest.raises(ValueError, match="epsilon"):
         select_batch_system(pigou, OPTIMUM, 0.0)
+
+
+def test_select_batch_system_rejects_non_finite_epsilon(pigou):
+    for epsilon in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            select_batch_system(pigou, OPTIMUM, epsilon)
+
+
+def test_select_batch_system_rejects_overflowing_count(pigou):
+    # x * span / epsilon = 0.5 / 1e-320 is past the largest float.
+    with pytest.raises(ValueError, match="batch count for edge 'e2' is not finite"):
+        select_batch_system(pigou, OPTIMUM, 1e-320)
 
 
 def test_select_batch_system_idle_edges_get_one(pigou):

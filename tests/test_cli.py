@@ -1,4 +1,6 @@
+import csv
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -187,6 +189,23 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["batch", PIGOU, "--epsilon"],
+        ["solve", PIGOU, "--gap-tol"],
+        ["verify", PIGOU, PIGOU, "--tol"],
+        ["oracle", PIGOU, "--resolution"],
+    ],
+    ids=["epsilon", "gap-tol", "tol", "resolution"],
+)
+def test_non_finite_option_exits_2(capsys, argv):
+    for value in ("nan", "inf"):
+        code, _, err = run_lines(capsys, *argv, value)
+        assert code == 2, value
+        assert f"must be positive and finite, got {value}" in err
+
+
 def test_missing_file_exits_3(capsys):
     code, _, err = run_lines(capsys, "solve", "/no/such/game.json")
     assert code == 3
@@ -260,6 +279,46 @@ def test_unknown_flow_type_exits_3(capsys, tmp_path):
     code, _, err = run_lines(capsys, "verify", PIGOU, str(flow_path))
     assert code == 3
     assert "unknown player type" in err
+
+
+def test_nan_flow_amount_exits_3(capsys, tmp_path):
+    # json.dumps writes NaN, which json.loads reads back as a float.
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(
+        json.dumps(
+            {
+                "amounts": [
+                    {"type": "t1", "strategy": 0, "x": float("nan")},
+                    {"type": "t1", "strategy": 1, "x": 1.0},
+                ]
+            }
+        )
+    )
+    code, _, err = run_lines(capsys, "verify", PIGOU, str(flow_path))
+    assert code == 3
+    assert "non-finite amount nan for ('t1', 0)" in err
+
+
+def test_overflowing_batch_count_exits_3(capsys):
+    code, _, err = run_lines(capsys, "batch", PIGOU, "--epsilon", "1e-320")
+    assert code == 3
+    assert "batch count for edge 'e2' is not finite" in err
+
+
+def test_batch_tight_epsilon_is_fast(capsys, tmp_path):
+    # N_e2 = 10**12 batches, priced in closed form.
+    report_path = tmp_path / "report.csv"
+    start = time.perf_counter()
+    code, lines, _ = run_lines(
+        capsys, "batch", PIGOU, "--epsilon", "1e-12", "--report", str(report_path)
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert lines[1].startswith("edge e2: N=1000000000000 ")
+    total = list(csv.reader(report_path.open()))[-1]
+    assert total[0] == "TOTAL"
+    assert 0.0 < float(total[-1]) <= 1e-12
+    assert elapsed < 1.0
 
 
 def test_non_convergence_exits_4(capsys, tmp_path):

@@ -176,6 +176,16 @@ def test_load_flow_rejects_negative_amount(tmp_path, pigou):
         load_flow(path, pigou)
 
 
+def test_load_flow_rejects_non_finite_amount(tmp_path, pigou):
+    for amount in (float("nan"), float("inf"), float("-inf")):
+        path = write_json(
+            tmp_path / "flow.json",
+            {"amounts": [{"type": "t1", "strategy": 1, "x": amount}]},
+        )
+        with pytest.raises(FormatError, match=r"non-finite amount .* for \('t1', 1\)"):
+            load_flow(path, pigou)
+
+
 def test_load_flow_rejects_duplicate_entry(tmp_path, pigou):
     path = write_json(
         tmp_path / "flow.json",

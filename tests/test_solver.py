@@ -57,6 +57,14 @@ def test_solver_params_validation():
         SolverParams(line_search_tol=-1e-12)
 
 
+def test_solver_params_reject_non_finite_tolerances():
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverParams(relative_gap_tol=value)
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverParams(line_search_tol=value)
+
+
 def test_strategy_latency_twotype(twotype):
     view = twotype._arrays
     x = view_loads(twotype, Flow({("t1", 0): 0.5, ("t2", 0): 0.5}))
