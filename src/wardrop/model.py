@@ -220,7 +220,8 @@ class _GameArrays:
     flow @ incidence. Latency coefficients are padded into one matrix per
     mode, so a whole load vector evaluates in one Horner sweep; the
     leading zeros of the padding are exact, so every entry equals the
-    scalar Horner value of its own polynomial.
+    scalar Horner value of its own polynomial. The integral and
+    derivative banks of each mode are padded the same way.
     """
 
     def __init__(self, game: Game):
@@ -249,10 +250,13 @@ class _GameArrays:
         # The marginal-cost transform is a_j -> (j + 1) * a_j.
         self.coeff_banks = {"original": bank, "marginal": bank * powers}
         self.integral_banks = {mode: b / powers for mode, b in self.coeff_banks.items()}
-        # Plain tuples of the same coefficients for the scalar line
-        # search, where numpy call overhead dominates.
-        marginal = [e.latency.marginal().coeffs for e in game.edges]
-        self.coeff_tuples = {"original": original, "marginal": marginal}
+        # Derivatives a_j -> j * a_j, shifted down one power and padded
+        # with a zero column to the same width.
+        self.derivative_banks = {}
+        for mode, b in self.coeff_banks.items():
+            derivative = np.zeros_like(b)
+            derivative[:, :-1] = b[:, 1:] * powers[:-1]
+            self.derivative_banks[mode] = derivative
 
     def flow_vector(self, flow: Flow) -> np.ndarray:
         f = np.zeros(len(self.keys))

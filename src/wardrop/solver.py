@@ -1,13 +1,31 @@
 """Wardrop equilibrium and social optimum solver.
 
 Equilibria are minimizers of the convex edge-integral potential over the
-product of per-type demand simplices, so the solver is a conditional
-gradient loop: all-or-nothing best response, exact line search by
-bisection, stop on the relative potential gap. Each iteration also
-rebalances every player type by shifting mass from its costliest used
-strategy onto its cheapest one (again with exact line search), which
-removes the sublinear tail of the plain method. Every step is a descent
-step, so the potential decreases monotonically.
+product of per-type demand simplices. The solver takes projected Newton
+steps on the strategy flows, after Bertsekas and Gafni (1983), with
+player types as commodities and strategies as paths:
+
+- In each type with a choice, the strategy with the most mass is basic
+  and absorbs the type's change. The other strategies that carry mass
+  or cost less than the basic one are free.
+- The step solves the reduced Newton system H d = -g over the free
+  strategies: g is their cost minus their basic strategy's cost, and
+  H = D diag(l') D^T is the Hessian of the potential along the edge-set
+  differences D, with l' the derivative of the mode latency at the
+  current loads. When H is not positive definite, its eigenvalues are
+  floored at a small fraction of the largest.
+- A free strategy without mass whose Newton component is negative
+  cannot move; it is dropped and the system solved again.
+- A ratio test caps the step where a strategy runs out of mass; a
+  strategy that blocks the step lands exactly on zero.
+- The step length on [0, cap] is the zero of the nondecreasing slope
+  alpha -> sum_e l_e(x_e + alpha dx_e) dx_e of the potential along the
+  step, found by Newton's method kept inside a bracket.
+
+Every step is a descent step, so the potential decreases monotonically.
+The loop stops on the relative gap of the linearized improvement, cost
+times (flow - all-or-nothing flow), over the potential, and fails with
+ConvergenceError when the budget runs out or either stops being finite.
 
 Mode "original" prices edges by their latency and yields a Wardrop
 equilibrium; mode "marginal" prices them by the marginal-cost transform,
@@ -44,19 +62,25 @@ EPS_DENOM = 1e-12
 # A strategy counts as used when it carries more than this much mass.
 EPS_USE = 1e-9
 
+# Eigenvalues of a reduced Hessian that is not positive definite are
+# raised to this fraction of the largest one.
+EIGEN_FLOOR = 1e-10
+
+# Budget of slope evaluations in one line search.
+MAX_LINE_STEPS = 60
+
 
 @dataclass(frozen=True)
 class SolverParams:
     max_iterations: int = 10000
     relative_gap_tol: float = 1e-9
-    line_search_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        for tol in (self.relative_gap_tol, self.line_search_tol):
-            if not (math.isfinite(tol) and tol > 0):
-                raise ValueError(f"tolerances must be positive and finite, got {tol}")
+        tol = self.relative_gap_tol
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"relative_gap_tol must be positive and finite, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -70,12 +94,18 @@ class SolveResult:
 
 
 class ConvergenceError(RuntimeError):
-    def __init__(self, iterations: int, relative_gap: float):
+    """The solve ran out of iterations or left the finite numbers.
+
+    flow is the last iterate, when the solver had one.
+    """
+
+    def __init__(self, iterations: int, relative_gap: float, flow: Flow | None = None):
         super().__init__(
             f"no convergence after {iterations} iterations, relative gap {relative_gap:.3e}"
         )
         self.iterations = iterations
         self.relative_gap = relative_gap
+        self.flow = flow
 
 
 def _check_mode(mode: str) -> None:
@@ -83,60 +113,160 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got '{mode}'")
 
 
-def _bisect_gamma(
-    arrays: _GameArrays,
-    x_current: np.ndarray,
-    x_target: np.ndarray,
-    mode: str,
-    tol: float,
-) -> float:
-    """Minimize the potential along loads (1-g) * current + g * target.
+class _Choices:
+    """Index arrays over the player types that have two or more strategies.
 
-    The directional derivative g -> sum_e l_e(x_e(g)) * delta_e is
-    nondecreasing (convex potential), so bisection on its sign finds the
-    minimizer. Returns 0 when the derivative at 0 is already nonnegative
-    and 1 when it is still negative at 1.
+    slots[t] lists the flow rows of the t-th such type, padded with the
+    row count; rows lists all their rows and owner the type of each;
+    types is 0, 1, ... over the types.
     """
-    coeff_lists = arrays.coeff_tuples[mode]
-    active = [k for k in range(len(x_current)) if x_target[k] != x_current[k]]
-    base = [float(x_current[k]) for k in active]
-    delta = [float(x_target[k] - x_current[k]) for k in active]
-    coeffs = [coeff_lists[k] for k in active]
 
-    def slope(gamma: float) -> float:
-        total = 0.0
-        for b, d, cs in zip(base, delta, coeffs):
-            x = b + gamma * d
-            acc = 0.0
-            for c in reversed(cs):
-                acc = acc * x + c
-            total += acc * d
-        return total
+    def __init__(self, arrays: _GameArrays):
+        spans = [(a, b) for a, b in arrays.spans.values() if b - a >= 2]
+        width = max((b - a for a, b in spans), default=0)
+        self.slots = np.full((len(spans), width), len(arrays.keys))
+        for t, (a, b) in enumerate(spans):
+            self.slots[t, : b - a] = np.arange(a, b)
+        real = self.slots < len(arrays.keys)
+        self.rows = self.slots[real]
+        self.owner = np.nonzero(real)[0]
+        self.types = np.arange(len(spans))
 
-    if slope(0.0) >= 0.0:
+    def free(self, f: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The free rows and the basic row of each.
+
+        A type's basic row carries its most mass, ties toward the lowest
+        index. Its free rows carry mass or cost less than the basic row.
+        Types without mass have no free rows.
+        """
+        if not self.rows.size:
+            return self.rows, self.rows
+        padded = np.append(f, -1.0)[self.slots]
+        basic = self.slots[self.types, padded.argmax(axis=1)]
+        base = basic[self.owner]
+        rows = self.rows
+        free = (
+            (rows != base)
+            & (f[base] > 0.0)
+            & ((f[rows] > 0.0) | (costs[rows] < costs[base]))
+        )
+        return rows[free], base[free]
+
+
+def _newton_direction(hessian: np.ndarray, g: np.ndarray, reach: float) -> np.ndarray:
+    """A descent direction d for the model g.d + d.H.d / 2: the Newton
+    direction -H^-1 g when H is positive definite, else the same with
+    the eigenvalues of H floored at EIGEN_FLOOR times the largest.
+
+    If H vanishes, the model is linear, and the direction is -g scaled
+    so that its largest component has size reach.
+    """
+    try:
+        np.linalg.cholesky(hessian)  # raises unless H is positive definite
+        d = -np.linalg.solve(hessian, g)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if np.isfinite(d).all() and g @ d < 0.0:
+            return d
+    values, vectors = np.linalg.eigh(hessian)
+    top = values.max()
+    if not top > 0.0:
+        largest = np.abs(g).max()
+        return -g * (reach / largest) if largest > 0.0 else np.zeros_like(g)
+    values = np.maximum(values, EIGEN_FLOOR * top)
+    return -vectors @ ((vectors.T @ g) / values)
+
+
+def _step_length(
+    arrays: _GameArrays, mode: str, x: np.ndarray, dx: np.ndarray, cap: float
+) -> float:
+    """Minimize the potential along loads x + alpha * dx over [0, cap].
+
+    The slope alpha -> sum_e l_e(x_e + alpha dx_e) dx_e is nondecreasing
+    (convex potential), so its zero is found by Newton's method, falling
+    back to bisection whenever a Newton step leaves the bracket. Returns
+    0 when the slope at 0 is already nonnegative and cap when it is
+    still nonpositive at cap.
+    """
+    moved = np.flatnonzero(dx)
+    bank = arrays.coeff_banks[mode][moved]
+    derivative = arrays.derivative_banks[mode][moved]
+    x, dx = x[moved], dx[moved]
+    dx2 = dx * dx
+
+    def slope(alpha: float) -> float:
+        return float(arrays.edge_values(bank, x + alpha * dx) @ dx)
+
+    def curvature(alpha: float) -> float:
+        return float(arrays.edge_values(derivative, x + alpha * dx) @ dx2)
+
+    s = slope(0.0)
+    if s >= 0.0:
         return 0.0
-    if slope(1.0) <= 0.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        d_mid = slope(mid)
-        if d_mid == 0.0:
-            return mid
-        if d_mid < 0.0:
-            lo = mid
+    if slope(cap) <= 0.0:
+        return cap
+    lo, hi, alpha = 0.0, cap, 0.0
+    for _ in range(MAX_LINE_STEPS):
+        # Newton's step from alpha, or bisection if it leaves (lo, hi).
+        ds = curvature(alpha)
+        step = alpha - s / ds if ds > 0.0 else hi
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - alpha) <= 1e-15 * hi:
+            return step
+        alpha = step
+        s = slope(alpha)
+        if s == 0.0:
+            break
+        if s < 0.0:
+            lo = alpha
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = alpha
+    return alpha
 
 
-def _descend(
-    arrays: _GameArrays, f: np.ndarray, target: np.ndarray, mode: str, tol: float
+def _newton_step(
+    arrays: _GameArrays,
+    choices: _Choices,
+    f: np.ndarray,
+    x: np.ndarray,
+    costs: np.ndarray,
+    mode: str,
 ) -> np.ndarray:
-    gamma = _bisect_gamma(arrays, arrays.loads(f), arrays.loads(target), mode, tol)
-    if gamma == 0.0:
+    """One projected Newton step from the flow vector f, whose loads are
+    x and whose strategy costs in the mode are costs."""
+    rows, base = choices.free(f, costs)
+    if not rows.size:
         return f
-    return f + gamma * (target - f)
+    diff = arrays.incidence[rows] - arrays.incidence[base]
+    g = costs[rows] - costs[base]
+    hessian = (diff * arrays.edge_values(arrays.derivative_banks[mode], x)) @ diff.T
+    reach = float(f.sum())
+    d = _newton_direction(hessian, g, reach)
+    # A free row without mass cannot shrink: drop it and solve again.
+    stuck = (f[rows] <= 0.0) & (d < 0.0)
+    while stuck.any():
+        keep = ~stuck
+        if not keep.any():
+            return f
+        rows, base, diff, g = rows[keep], base[keep], diff[keep], g[keep]
+        hessian = hessian[np.ix_(keep, keep)]
+        d = _newton_direction(hessian, g, reach)
+        stuck = (f[rows] <= 0.0) & (d < 0.0)
+    df = np.zeros_like(f)
+    df[rows] = d
+    df -= np.bincount(base, weights=d, minlength=len(f))
+    shrinking = np.flatnonzero(df < 0.0)
+    ratios = f[shrinking] / -df[shrinking]
+    cap = min(1.0, float(ratios.min())) if ratios.size else 1.0
+    alpha = _step_length(arrays, mode, x, d @ diff, cap)
+    if alpha == 0.0:
+        return f
+    stepped = f + alpha * df
+    if alpha == cap:
+        stepped[shrinking[ratios <= cap]] = 0.0
+    return np.maximum(stepped, 0.0)
 
 
 def potential(game: Game, flow: Flow, mode: str) -> float:
@@ -160,7 +290,8 @@ def solve(
     Starts from the all-or-nothing flow at zero loads unless initial_flow
     (any feasible flow) is given. Stops when the linearized improvement,
     relative to the potential magnitude, drops to relative_gap_tol.
-    Raises ConvergenceError if the budget runs out first.
+    Raises ConvergenceError, carrying the last iterate, if the budget
+    runs out first or as soon as the potential or the gap is not finite.
     """
     _check_mode(mode)
     if params is None:
@@ -177,6 +308,7 @@ def solve(
             raise ValueError("initial flow is infeasible")
         f = arrays.flow_vector(initial_flow)
 
+    choices = _Choices(arrays)
     iterations = 0
     relative_gap = float("inf")
     phi = 0.0
@@ -187,30 +319,14 @@ def solve(
         gap = float(costs @ (f - target))
         phi = arrays.potential(x, mode)
         relative_gap = gap / max(abs(phi), EPS_DENOM)
+        if not (math.isfinite(phi) and math.isfinite(gap)):
+            raise ConvergenceError(iteration, relative_gap, arrays.to_flow(f))
         if relative_gap <= params.relative_gap_tol:
             iterations = iteration
             break
         if iteration == params.max_iterations:
-            raise ConvergenceError(iteration, relative_gap)
-        f = _descend(arrays, f, target, mode, params.line_search_tol)
-        # Rebalance each type: drain the costliest used strategy into the
-        # cheapest until no profitable pair remains this round.
-        for start, stop in arrays.spans.values():
-            for _ in range(stop - start):
-                x = arrays.loads(f)
-                seg_costs = arrays.strategy_costs(x, mode)[start:stop]
-                seg_flow = f[start:stop]
-                used = np.flatnonzero(seg_flow > 0.0)
-                if used.size == 0:
-                    break
-                worst = int(used[np.argmax(seg_costs[used])])
-                best = int(np.argmin(seg_costs))
-                if worst == best or seg_costs[worst] <= seg_costs[best]:
-                    break
-                swapped = f.copy()
-                swapped[start + best] += swapped[start + worst]
-                swapped[start + worst] = 0.0
-                f = _descend(arrays, f, swapped, mode, params.line_search_tol)
+            raise ConvergenceError(iteration, relative_gap, arrays.to_flow(f))
+        f = _newton_step(arrays, choices, f, x, costs, mode)
 
     flow = arrays.to_flow(f)
     return SolveResult(

@@ -37,6 +37,26 @@ def random_game(
     return Game(tuple(edges), tuple(types))
 
 
+def large_game(seed: int) -> Game:
+    """A seeded game at the largest benchmark scale: 300 edges of degree 1
+    to 4 with positive constant terms, and 60 player types of 10
+    strategies with 2 to 6 edges each."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for k in range(300):
+        higher = rng.uniform(0.0, 1.5, size=int(rng.integers(1, 5)))
+        coeffs = (float(rng.uniform(0.1, 1.5)), *(float(c) for c in higher))
+        edges.append(Edge(f"e{k}", LatencyFunction(coeffs)))
+    types = []
+    for t in range(60):
+        strategies = []
+        for _ in range(10):
+            members = rng.choice(300, size=int(rng.integers(2, 7)), replace=False)
+            strategies.append(frozenset(f"e{int(i)}" for i in members))
+        types.append(PlayerType(f"t{t}", float(rng.uniform(0.5, 1.5)), tuple(strategies)))
+    return Game(tuple(edges), tuple(types))
+
+
 def random_feasible_flow(game: Game, rng: np.random.Generator) -> Flow:
     amounts: dict[tuple[str, int], float] = {}
     for ptype in game.player_types:
@@ -62,17 +82,6 @@ def last_strategy_flow(game: Game) -> Flow:
         for s in range(len(ptype.strategies)):
             amounts[(ptype.id, s)] = ptype.demand if s == last else 0.0
     return Flow(amounts)
-
-
-def mix_flows(current: Flow, target: Flow, gamma: float) -> Flow:
-    keys = set(current.amounts) | set(target.amounts)
-    return Flow(
-        {
-            key: (1.0 - gamma) * current.amounts.get(key, 0.0)
-            + gamma * target.amounts.get(key, 0.0)
-            for key in keys
-        }
-    )
 
 
 def hard_game() -> Game:

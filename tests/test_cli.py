@@ -329,6 +329,39 @@ def test_non_convergence_exits_4(capsys, tmp_path):
     assert "no convergence" in err
 
 
+def test_pigou_large_demand_round_trip_verifies(capsys, tmp_path):
+    # The equilibrium puts a load of exactly 1 on the x road and 1e12 - 1
+    # on the constant road; verify checks the excess to an absolute 1e-6.
+    game = json.loads(Path(PIGOU).read_text())
+    game["player_types"][0]["demand"] = 1e12
+    game_path = tmp_path / "pigou_1e12.json"
+    game_path.write_text(json.dumps(game))
+    flow_path = tmp_path / "flow.json"
+    code, _, _ = run_lines(capsys, "solve", str(game_path), "--out", str(flow_path))
+    assert code == 0
+    code, lines, _ = run_lines(capsys, "verify", str(game_path), str(flow_path))
+    assert (code, lines) == (0, ["max violation: 0.000000"])
+
+
+def test_overflowing_solve_exits_4_at_once(capsys, tmp_path):
+    # x^16 at a load of 1e25 overflows in the first iteration.
+    path = tmp_path / "overflow.json"
+    path.write_text(
+        json.dumps(
+            {
+                "edges": [
+                    {"id": "c", "latency": {"coeffs": [1.0]}},
+                    {"id": "p", "latency": {"coeffs": [0.0] * 16 + [1.0]}},
+                ],
+                "player_types": [{"id": "t", "demand": 1e25, "strategies": [["c"], ["p"]]}],
+            }
+        )
+    )
+    code, _, err = run_lines(capsys, "solve", str(path))
+    assert code == 4
+    assert "no convergence after 0 iterations, relative gap nan" in err
+
+
 def test_output_is_deterministic(capsys):
     first = run_lines(capsys, "poa", PIGOU)
     second = run_lines(capsys, "poa", PIGOU)

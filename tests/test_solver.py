@@ -1,10 +1,16 @@
+import math
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     hard_game,
+    large_game,
     last_strategy_flow,
-    mix_flows,
     random_feasible_flow,
     random_game,
 )
@@ -25,8 +31,12 @@ from wardrop import (
     solve,
     wardrop_gap,
 )
+from wardrop.formats import load_game
+from wardrop.model import is_feasible
 from wardrop.oracle import grid_search_equilibrium
-from wardrop.solver import _bisect_gamma
+from wardrop.solver import MODES, _Choices, _newton_step
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def view_loads(game, flow):
@@ -41,10 +51,13 @@ def best_response_flow(game, flow, mode):
     return view.to_flow(view.all_or_nothing(view.strategy_costs(view_loads(game, flow), mode)))
 
 
-def bisection_step(game, current, target, mode):
-    """The solver's exact line search between the loads of two flows."""
-    return _bisect_gamma(
-        game._arrays, view_loads(game, current), view_loads(game, target), mode, 1e-12
+def newton_step(game, flow, mode):
+    """One projected Newton step of the solver from `flow`."""
+    view = game._arrays
+    f = view.flow_vector(flow)
+    x = view.loads(f)
+    return view.to_flow(
+        _newton_step(view, _Choices(view), f, x, view.strategy_costs(x, mode), mode)
     )
 
 
@@ -53,16 +66,12 @@ def test_solver_params_validation():
         SolverParams(max_iterations=0)
     with pytest.raises(ValueError):
         SolverParams(relative_gap_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverParams(line_search_tol=-1e-12)
 
 
 def test_solver_params_reject_non_finite_tolerances():
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive and finite"):
             SolverParams(relative_gap_tol=value)
-        with pytest.raises(ValueError, match="positive and finite"):
-            SolverParams(line_search_tol=value)
 
 
 def test_strategy_latency_twotype(twotype):
@@ -103,19 +112,24 @@ def test_line_search_boundary(pigou):
     all_e1 = Flow({("t1", 0): 1.0, ("t1", 1): 0.0})
     all_e2 = Flow({("t1", 0): 0.0, ("t1", 1): 1.0})
     # Potential (1 - g) + g^2 / 2 decreases over the whole interval.
-    assert bisection_step(pigou, all_e1, all_e2, "original") == 1.0
+    assert newton_step(pigou, all_e1, "original").amounts == all_e2.amounts
 
 
 def test_line_search_interior(pigou):
     all_e1 = Flow({("t1", 0): 1.0, ("t1", 1): 0.0})
     all_e2 = Flow({("t1", 0): 0.0, ("t1", 1): 1.0})
     # Marginal potential g + (1 - g)^2 has its minimum at g = 1/2.
-    assert bisection_step(pigou, all_e2, all_e1, "marginal") == pytest.approx(0.5, abs=1e-9)
+    stepped = newton_step(pigou, all_e2, "marginal")
+    assert stepped.amount("t1", 0) == pytest.approx(0.5, abs=1e-9)
+    assert stepped.amount("t1", 1) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_line_search_identical_flows(pigou):
-    flow = Flow({("t1", 0): 0.5, ("t1", 1): 0.5})
-    assert bisection_step(pigou, flow, flow, "original") == 0.0
+    # The equilibrium of each mode is a fixed point of its step.
+    selfish = Flow({("t1", 0): 0.0, ("t1", 1): 1.0})
+    optimum = Flow({("t1", 0): 0.5, ("t1", 1): 0.5})
+    assert newton_step(pigou, selfish, "original").amounts == selfish.amounts
+    assert newton_step(pigou, optimum, "marginal").amounts == optimum.amounts
 
 
 def test_potential_values(pigou):
@@ -189,6 +203,68 @@ def test_solve_raises_on_iteration_budget():
         solve(game, "original", SolverParams(max_iterations=1))
     assert info.value.iterations == 1
     assert info.value.relative_gap > 1e-9
+    assert is_feasible(game, info.value.flow)
+
+
+def test_solve_stops_on_non_finite_iterate():
+    # x^16 at a load of 1e25 overflows: the first potential is infinite.
+    game = Game(
+        edges=(
+            Edge("c", LatencyFunction((1.0,))),
+            Edge("p", LatencyFunction((0.0,) * 16 + (1.0,))),
+        ),
+        player_types=(PlayerType("t", 1e25, (frozenset({"c"}), frozenset({"p"}))),),
+    )
+    with pytest.raises(ConvergenceError) as info:
+        solve(game, "original")
+    assert info.value.iterations == 0
+    assert math.isnan(info.value.relative_gap)
+    assert info.value.flow.amounts == {("t", 0): 0.0, ("t", 1): 1e25}
+
+
+def test_solve_linear_game_from_split_flow():
+    # Only constant latencies: the reduced Hessian vanishes, and one step
+    # moves all mass onto the cheaper strategy. The drained strategy
+    # blocks the step and lands on exactly zero, where rounding alone
+    # would leave 1.1e-16.
+    game = Game(
+        edges=(Edge("c1", LatencyFunction((2.0,))), Edge("c2", LatencyFunction((1.0,)))),
+        player_types=(PlayerType("t", 1.2, (frozenset({"c1"}), frozenset({"c2"}))),),
+    )
+    split = Flow({("t", 0): 0.9, ("t", 1): 0.3})
+    result = solve(game, "original", initial_flow=split)
+    assert result.iterations == 1
+    assert result.flow.amount("t", 0) == 0.0
+    assert result.flow.amount("t", 1) == pytest.approx(1.2, rel=1e-15)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_solve_singular_reduced_hessian(mode):
+    # The constant edges e1 and e3 make the reduced Hessian singular.
+    game = load_game(DATA / "singular_hessian.json")
+    result = solve(game, mode, SolverParams(relative_gap_tol=1e-12))
+    assert result.relative_gap <= 1e-12
+    assert wardrop_gap(game, result.flow, mode) <= 1e-9
+
+
+@settings(deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_solve_random_games_converge_within_100_steps(seed):
+    # random_game includes degree-0 edges, so singular Hessians are common.
+    game = random_game(np.random.default_rng(seed))
+    for mode in MODES:
+        result = solve(game, mode, SolverParams(max_iterations=100, relative_gap_tol=1e-12))
+        assert result.equilibrium_violation <= 1e-6
+
+
+def test_solve_large_game_is_fast():
+    game = large_game(1)
+    start = time.perf_counter()
+    results = [solve(game, mode) for mode in MODES]
+    elapsed = time.perf_counter() - start
+    for mode, result in zip(MODES, results):
+        assert wardrop_gap(game, result.flow, mode) <= 1e-6
+    assert elapsed < 5.0
 
 
 def test_solve_random_games_converge():
@@ -209,9 +285,7 @@ def test_potential_monotone_under_best_response_steps():
         flow = random_feasible_flow(game, rng)
         value = potential(game, flow, "original")
         for _ in range(40):
-            target = best_response_flow(game, flow, "original")
-            gamma = bisection_step(game, flow, target, "original")
-            flow = mix_flows(flow, target, gamma)
+            flow = newton_step(game, flow, "original")
             stepped = potential(game, flow, "original")
             assert stepped <= value + 1e-12
             value = stepped
