@@ -24,28 +24,68 @@ class FormatError(ValueError):
     """A document parsed as JSON but does not match the expected schema."""
 
 
-def game_from_dict(data: Any) -> Game:
+# The checks below take the field's path as a format template plus its
+# indices, and format it only to report an error.
+
+
+def _list(value: Any, path: str, *where: int) -> list[Any]:
+    if type(value) is not list:
+        raise FormatError(f"{path.format(*where)}: expected a list, got {value!r}")
+    return value
+
+
+def _number(value: Any, path: str, *where: int) -> float:
+    # Exact types: JSON true and false load as bool, a subclass of int.
+    if type(value) is not float and type(value) is not int:
+        raise FormatError(f"{path.format(*where)}: expected a number, got {value!r}")
     try:
-        edges = tuple(
-            Edge(
-                id=str(entry["id"]),
-                latency=LatencyFunction(tuple(float(c) for c in entry["latency"]["coeffs"])),
+        return float(value)
+    except OverflowError:
+        raise FormatError(f"{path.format(*where)}: number out of float range") from None
+
+
+def _numbers(values: Any, path: str, *where: int) -> list[Any]:
+    """values, if it is a list of numbers that fit in a float."""
+    for j, value in enumerate(_list(values, path, *where)):
+        if type(value) is not float:
+            _number(value, path + "[{}]", *where, j)
+    return values
+
+
+def _index(value: Any, path: str, *where: int) -> int:
+    number = _number(value, path, *where)
+    if not number.is_integer():
+        raise FormatError(f"{path.format(*where)}: expected an integer, got {value!r}")
+    return int(number)
+
+
+def game_from_dict(data: Any) -> Game:
+    """Build a game from its JSON document, checking the type of every
+    field; structural checks are left to validate_game."""
+    try:
+        edges = []
+        for k, entry in enumerate(_list(data["edges"], "edges")):
+            coeffs = _numbers(entry["latency"]["coeffs"], "edges[{}].latency.coeffs", k)
+            edges.append(Edge(id=str(entry["id"]), latency=LatencyFunction(tuple(coeffs))))
+        player_types = []
+        for k, entry in enumerate(_list(data["player_types"], "player_types")):
+            strategies = _list(entry["strategies"], "player_types[{}].strategies", k)
+            members = [
+                _list(strategy, "player_types[{}].strategies[{}]", k, s)
+                for s, strategy in enumerate(strategies)
+            ]
+            player_types.append(
+                PlayerType(
+                    id=str(entry["id"]),
+                    demand=_number(entry["demand"], "player_types[{}].demand", k),
+                    strategies=tuple(frozenset(map(str, m)) for m in members),
+                )
             )
-            for entry in data["edges"]
-        )
-        player_types = tuple(
-            PlayerType(
-                id=str(entry["id"]),
-                demand=float(entry["demand"]),
-                strategies=tuple(
-                    frozenset(str(e) for e in strategy) for strategy in entry["strategies"]
-                ),
-            )
-            for entry in data["player_types"]
-        )
+    except FormatError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed game document: {exc!r}") from exc
-    return Game(edges=edges, player_types=player_types)
+    return Game(edges=tuple(edges), player_types=tuple(player_types))
 
 
 def game_to_dict(game: Game) -> dict[str, Any]:
@@ -90,16 +130,16 @@ def load_flow(path: str | Path, game: Game) -> Flow:
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
-        entries = list(data["amounts"])
+        entries = _list(data["amounts"], "amounts")
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed flow document: {exc!r}") from exc
     amounts: dict[tuple[str, int], float] = {}
-    for entry in entries:
+    for k, entry in enumerate(entries):
         try:
             type_id = str(entry["type"])
-            index = int(entry["strategy"])
-            amount = float(entry["x"])
-        except (KeyError, TypeError, ValueError) as exc:
+            index = _index(entry["strategy"], "amounts[{}].strategy", k)
+            amount = _number(entry["x"], "amounts[{}].x", k)
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed flow entry {entry!r}: {exc!r}") from exc
         try:
             ptype = game.player_type(type_id)

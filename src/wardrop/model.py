@@ -216,12 +216,16 @@ class _GameArrays:
     """Dense vector view of a game.
 
     Flow vectors are indexed by (type, strategy) keys in game order, and
-    spans maps each type id to its slice of them. Loads are
-    flow @ incidence. Latency coefficients are padded into one matrix per
-    mode, so a whole load vector evaluates in one Horner sweep; the
-    leading zeros of the padding are exact, so every entry equals the
-    scalar Horner value of its own polynomial. The integral and
-    derivative banks of each mode are padded the same way.
+    spans maps each type id to its slice of them. The same layout is kept
+    as index arrays for per-type reductions: owner[r] is the type of row
+    r, and slots[t] lists the rows of type t, padded with the row count,
+    which reductions read as a sentinel entry past the end of the vector.
+
+    Loads are flow @ incidence. Latency coefficients are padded into one
+    matrix per mode, so a whole load vector evaluates in one Horner
+    sweep; the leading zeros of the padding are exact, so every entry
+    equals the scalar Horner value of its own polynomial. The integral
+    and derivative banks of each mode are padded the same way.
     """
 
     def __init__(self, game: Game):
@@ -230,7 +234,8 @@ class _GameArrays:
         keys: list[tuple[str, int]] = []
         cells: list[tuple[int, int]] = []
         self.spans: dict[str, tuple[int, int]] = {}
-        self.demands = {t.id: t.demand for t in game.player_types}
+        self.type_ids = [t.id for t in game.player_types]
+        self.demand = np.array([t.demand for t in game.player_types])
         for ptype in game.player_types:
             start = len(keys)
             for s, strategy in enumerate(ptype.strategies):
@@ -239,6 +244,13 @@ class _GameArrays:
             self.spans[ptype.id] = (start, len(keys))
         self.keys = keys
         self.row_index = {key: r for r, key in enumerate(keys)}
+        sizes = np.array([len(t.strategies) for t in game.player_types], dtype=int)
+        self.owner = np.repeat(np.arange(len(sizes)), sizes)
+        # Row r sits in column r - (first row of its type) of slots.
+        rows = np.arange(len(keys))
+        first = np.cumsum(sizes) - sizes
+        self.slots = np.full((len(sizes), max(sizes.max(initial=0), 1)), len(keys))
+        self.slots[self.owner, rows - first[self.owner]] = rows
         self.incidence = np.zeros((len(keys), n_edges))
         for row, col in cells:
             self.incidence[row, col] = 1.0
@@ -297,18 +309,26 @@ class _GameArrays:
     def potential(self, x: np.ndarray, mode: str) -> float:
         return float(x @ self.edge_values(self.integral_banks[mode], x))
 
+    def excess(self, costs: np.ndarray) -> np.ndarray:
+        """Each strategy's cost minus the cheapest cost of its type."""
+        cheapest = np.append(costs, np.inf)[self.slots].min(axis=1)
+        return costs - cheapest[self.owner]
+
     def all_or_nothing(self, costs: np.ndarray) -> np.ndarray:
         """Each type's demand on its cheapest strategy, ties toward the
         lowest index."""
-        f = np.zeros(len(self.keys))
-        for type_id, (start, stop) in self.spans.items():
-            if stop > start:
-                f[start + int(np.argmin(costs[start:stop]))] = self.demands[type_id]
-            elif self.demands[type_id] > 0:
-                raise ValueError(
-                    f"player type '{type_id}' has positive demand but no strategies"
-                )
-        return f
+        pick = np.append(costs, np.inf)[self.slots].argmin(axis=1)
+        rows = np.take_along_axis(self.slots, pick[:, None], axis=1)[:, 0]
+        # Only a type without strategies picks the sentinel.
+        stranded = np.flatnonzero((rows == len(self.keys)) & (self.demand > 0))
+        if stranded.size:
+            raise ValueError(
+                f"player type '{self.type_ids[stranded[0]]}' has positive demand "
+                "but no strategies"
+            )
+        f = np.zeros(len(self.keys) + 1)
+        f[rows] = self.demand
+        return f[:-1]
 
 
 def edge_loads(game: Game, flow: Flow) -> EdgeLoads:

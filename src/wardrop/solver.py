@@ -23,9 +23,11 @@ player types as commodities and strategies as paths:
   step, found by Newton's method kept inside a bracket.
 
 Every step is a descent step, so the potential decreases monotonically.
-The loop stops on the relative gap of the linearized improvement, cost
-times (flow - all-or-nothing flow), over the potential, and fails with
-ConvergenceError when the budget runs out or either stops being finite.
+The loop stops on the relative gap sum f * (cost - cheapest cost of its
+type) over |potential|, summed over all strategies: a sum of
+nonnegative terms, equal to the linearized improvement over the
+all-or-nothing flow. It fails with ConvergenceError when the budget runs
+out or the gap or the potential stops being finite.
 
 Mode "original" prices edges by their latency and yields a Wardrop
 equilibrium; mode "marginal" prices them by the marginal-cost transform,
@@ -33,7 +35,8 @@ whose potential is the social cost itself, so the result is a social
 optimum.
 
 The loop, the potential and the equilibrium gap all read the game's
-vector view, model._GameArrays.
+vector view, model._GameArrays, which also owns the per-type layout of
+the flow vector and its per-type reductions.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .model import (
     GameValidationError,
     _GameArrays,
     is_feasible,
-    social_cost,
     validate_game,
 )
 
@@ -113,44 +115,24 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got '{mode}'")
 
 
-class _Choices:
-    """Index arrays over the player types that have two or more strategies.
+def _free(
+    arrays: _GameArrays, f: np.ndarray, costs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The free rows and the basic row of each.
 
-    slots[t] lists the flow rows of the t-th such type, padded with the
-    row count; rows lists all their rows and owner the type of each;
-    types is 0, 1, ... over the types.
+    A type's basic row carries its most mass, ties toward the lowest
+    index. Its free rows carry mass or cost less than the basic row.
+    Types without mass, or with one strategy, have no free rows.
     """
-
-    def __init__(self, arrays: _GameArrays):
-        spans = [(a, b) for a, b in arrays.spans.values() if b - a >= 2]
-        width = max((b - a for a, b in spans), default=0)
-        self.slots = np.full((len(spans), width), len(arrays.keys))
-        for t, (a, b) in enumerate(spans):
-            self.slots[t, : b - a] = np.arange(a, b)
-        real = self.slots < len(arrays.keys)
-        self.rows = self.slots[real]
-        self.owner = np.nonzero(real)[0]
-        self.types = np.arange(len(spans))
-
-    def free(self, f: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The free rows and the basic row of each.
-
-        A type's basic row carries its most mass, ties toward the lowest
-        index. Its free rows carry mass or cost less than the basic row.
-        Types without mass have no free rows.
-        """
-        if not self.rows.size:
-            return self.rows, self.rows
-        padded = np.append(f, -1.0)[self.slots]
-        basic = self.slots[self.types, padded.argmax(axis=1)]
-        base = basic[self.owner]
-        rows = self.rows
-        free = (
-            (rows != base)
-            & (f[base] > 0.0)
-            & ((f[rows] > 0.0) | (costs[rows] < costs[base]))
-        )
-        return rows[free], base[free]
+    slots = arrays.slots
+    pick = np.append(f, -1.0)[slots].argmax(axis=1)
+    base = np.take_along_axis(slots, pick[:, None], axis=1)[arrays.owner, 0]
+    free = (
+        (np.arange(len(f)) != base)
+        & (f[base] > 0.0)
+        & ((f > 0.0) | (costs < costs[base]))
+    )
+    return np.flatnonzero(free), base[free]
 
 
 def _newton_direction(hessian: np.ndarray, g: np.ndarray, reach: float) -> np.ndarray:
@@ -227,16 +209,11 @@ def _step_length(
 
 
 def _newton_step(
-    arrays: _GameArrays,
-    choices: _Choices,
-    f: np.ndarray,
-    x: np.ndarray,
-    costs: np.ndarray,
-    mode: str,
+    arrays: _GameArrays, f: np.ndarray, x: np.ndarray, costs: np.ndarray, mode: str
 ) -> np.ndarray:
     """One projected Newton step from the flow vector f, whose loads are
     x and whose strategy costs in the mode are costs."""
-    rows, base = choices.free(f, costs)
+    rows, base = _free(arrays, f, costs)
     if not rows.size:
         return f
     diff = arrays.incidence[rows] - arrays.incidence[base]
@@ -288,8 +265,9 @@ def solve(
     """Minimize the mode potential; return the flow and convergence data.
 
     Starts from the all-or-nothing flow at zero loads unless initial_flow
-    (any feasible flow) is given. Stops when the linearized improvement,
-    relative to the potential magnitude, drops to relative_gap_tol.
+    (any feasible flow) is given. Stops when the flow-weighted excess of
+    each strategy's cost over its type's cheapest, relative to the
+    potential magnitude, drops to relative_gap_tol.
     Raises ConvergenceError, carrying the last iterate, if the budget
     runs out first or as soon as the potential or the gap is not finite.
     """
@@ -308,35 +286,34 @@ def solve(
             raise ValueError("initial flow is infeasible")
         f = arrays.flow_vector(initial_flow)
 
-    choices = _Choices(arrays)
-    iterations = 0
-    relative_gap = float("inf")
-    phi = 0.0
     for iteration in range(params.max_iterations + 1):
         x = arrays.loads(f)
         costs = arrays.strategy_costs(x, mode)
-        target = arrays.all_or_nothing(costs)
-        gap = float(costs @ (f - target))
+        excess = arrays.excess(costs)
+        gap = float(f @ excess)
         phi = arrays.potential(x, mode)
         relative_gap = gap / max(abs(phi), EPS_DENOM)
         if not (math.isfinite(phi) and math.isfinite(gap)):
             raise ConvergenceError(iteration, relative_gap, arrays.to_flow(f))
         if relative_gap <= params.relative_gap_tol:
-            iterations = iteration
             break
         if iteration == params.max_iterations:
             raise ConvergenceError(iteration, relative_gap, arrays.to_flow(f))
-        f = _newton_step(arrays, choices, f, x, costs, mode)
+        f = _newton_step(arrays, f, x, costs, mode)
 
-    flow = arrays.to_flow(f)
     return SolveResult(
-        flow=flow,
-        iterations=iterations,
+        flow=arrays.to_flow(f),
+        iterations=iteration,
         relative_gap=relative_gap,
         potential_value=phi,
-        social_cost_original=social_cost(game, flow),
-        equilibrium_violation=wardrop_gap(game, flow, mode),
+        social_cost_original=float(arrays.edge_costs(x).sum()),
+        equilibrium_violation=_worst_excess(f, excess, EPS_USE),
     )
+
+
+def _worst_excess(f: np.ndarray, excess: np.ndarray, eps_use: float) -> float:
+    """Largest excess over the rows that carry more than eps_use mass."""
+    return float(excess[f > eps_use].max(initial=0.0))
 
 
 def wardrop_gap(game: Game, flow: Flow, mode: str, eps_use: float = EPS_USE) -> float:
@@ -350,14 +327,7 @@ def wardrop_gap(game: Game, flow: Flow, mode: str, eps_use: float = EPS_USE) -> 
         raise ValueError("infeasible flow")
     view = game._arrays
     f = view.flow_vector(flow)
-    costs = view.strategy_costs(view.loads(f), mode)
-    worst = 0.0
-    for start, stop in view.spans.values():
-        used = f[start:stop] > eps_use
-        if used.any():
-            span_costs = costs[start:stop]
-            worst = max(worst, float(span_costs[used].max() - span_costs.min()))
-    return worst
+    return _worst_excess(f, view.excess(view.strategy_costs(view.loads(f), mode)), eps_use)
 
 
 def price_of_anarchy(game: Game, params: SolverParams | None = None) -> float:

@@ -257,6 +257,22 @@ def test_nan_coefficient_exits_3(capsys, tmp_path):
     assert "edges[0].latency.coeffs[0]: non-finite coefficient nan" in err
 
 
+def test_string_coefficients_exit_3(capsys, tmp_path):
+    # "12" used to load as the latency 1 + 2x, and the solve exited 0.
+    path = tmp_path / "string_coeffs.json"
+    path.write_text(
+        json.dumps(
+            {
+                "edges": [{"id": "e1", "latency": {"coeffs": "12"}}],
+                "player_types": [{"id": "t1", "demand": 1.0, "strategies": [["e1"]]}],
+            }
+        )
+    )
+    code, _, err = run_lines(capsys, "solve", str(path))
+    assert code == 3
+    assert "edges[0].latency.coeffs: expected a list, got '12'" in err
+
+
 def test_nan_demand_exits_3(capsys, tmp_path):
     path = one_edge_game(tmp_path / "nan_demand.json", 1.0, float("nan"))
     code, _, err = run_lines(capsys, "solve", path)

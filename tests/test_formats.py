@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,62 @@ def test_load_game_rejects_missing_key(tmp_path):
         load_game(path)
 
 
+def pigou_document(coeffs=(1.0,), demand=1.0, strategies=(("a",), ("b",))):
+    """Pigou's game on edges "a" and "b". A tuple argument is written as
+    a JSON list; anything else is written as it is."""
+    def listed(value):
+        return [listed(v) for v in value] if isinstance(value, tuple) else value
+
+    return {
+        "edges": [
+            {"id": "a", "latency": {"coeffs": listed(coeffs)}},
+            {"id": "b", "latency": {"coeffs": [0.0, 1.0]}},
+        ],
+        "player_types": [
+            {"id": "t1", "demand": listed(demand), "strategies": listed(strategies)}
+        ],
+    }
+
+
+# Each of these documents used to load: "12" as the latency 1 + 2x, "ab"
+# as the strategies {a} and {b} or as the strategy {a, b}, true as 1.0
+# and "0.5" as 0.5; a huge integer raised an uncaught OverflowError.
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        pytest.param(pigou_document(coeffs="12"),
+                     "edges[0].latency.coeffs: expected a list", id="coeffs-string"),
+        pytest.param(pigou_document(strategies="ab"),
+                     "player_types[0].strategies: expected a list", id="strategies-string"),
+        pytest.param(pigou_document(strategies=("ab",)),
+                     "player_types[0].strategies[0]: expected a list", id="strategy-string"),
+        pytest.param(pigou_document(coeffs=(True,)),
+                     "edges[0].latency.coeffs[0]: expected a number", id="coeff-bool"),
+        pytest.param(pigou_document(demand=True),
+                     "player_types[0].demand: expected a number", id="demand-bool"),
+        pytest.param(pigou_document(demand="0.5"),
+                     "player_types[0].demand: expected a number", id="demand-string"),
+        pytest.param(pigou_document(coeffs=(10**400,)),
+                     "edges[0].latency.coeffs[0]: number out of float range", id="coeff-huge"),
+    ],
+)
+def test_load_game_rejects_wrong_field_types(tmp_path, document, message):
+    path = write_json(tmp_path / "game.json", document)
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load_game(path)
+
+
+def test_load_accepts_integral_numbers(tmp_path):
+    game = load_game(write_json(tmp_path / "game.json", pigou_document(coeffs=(1,), demand=1)))
+    assert game.edges[0].latency.coeffs == (1.0,)
+    assert game.player_types[0].demand == 1.0
+    path = write_json(
+        tmp_path / "flow.json",
+        {"amounts": [{"type": "t1", "strategy": 1.0, "x": 1}]},
+    )
+    assert load_flow(path, game).amounts == {("t1", 1): 1.0}
+
+
 def test_load_game_rejects_invalid_game(tmp_path):
     path = write_json(
         tmp_path / "bad.json",
@@ -203,6 +260,27 @@ def test_load_flow_rejects_duplicate_entry(tmp_path, pigou):
 def test_load_flow_rejects_missing_amounts_key(tmp_path, pigou):
     path = write_json(tmp_path / "flow.json", {"rows": []})
     with pytest.raises(FormatError, match="malformed flow document"):
+        load_flow(path, pigou)
+
+
+# Each of these entries used to load: 1.7 and "1" as strategy 1, "1.0"
+# as 1.0 and true as 1.0.
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        pytest.param({"type": "t1", "strategy": 1.7, "x": 1.0},
+                     "amounts[0].strategy: expected an integer", id="strategy-fraction"),
+        pytest.param({"type": "t1", "strategy": "1", "x": 1.0},
+                     "amounts[0].strategy: expected a number", id="strategy-string"),
+        pytest.param({"type": "t1", "strategy": 1, "x": "1.0"},
+                     "amounts[0].x: expected a number", id="amount-string"),
+        pytest.param({"type": "t1", "strategy": 1, "x": True},
+                     "amounts[0].x: expected a number", id="amount-bool"),
+    ],
+)
+def test_load_flow_rejects_wrong_field_types(tmp_path, pigou, entry, message):
+    path = write_json(tmp_path / "flow.json", {"amounts": [entry]})
+    with pytest.raises(FormatError, match=re.escape(message)):
         load_flow(path, pigou)
 
 

@@ -34,7 +34,7 @@ from wardrop import (
 from wardrop.formats import load_game
 from wardrop.model import is_feasible
 from wardrop.oracle import grid_search_equilibrium
-from wardrop.solver import MODES, _Choices, _newton_step
+from wardrop.solver import MODES, _newton_step
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -56,9 +56,7 @@ def newton_step(game, flow, mode):
     view = game._arrays
     f = view.flow_vector(flow)
     x = view.loads(f)
-    return view.to_flow(
-        _newton_step(view, _Choices(view), f, x, view.strategy_costs(x, mode), mode)
-    )
+    return view.to_flow(_newton_step(view, f, x, view.strategy_costs(x, mode), mode))
 
 
 def test_solver_params_validation():
@@ -257,6 +255,63 @@ def test_solve_random_games_converge_within_100_steps(seed):
         assert result.equilibrium_violation <= 1e-6
 
 
+@settings(deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_solve_result_matches_its_flow(seed):
+    # The gap is a sum of nonnegative terms, and the reported cost and
+    # violation are those of the returned flow.
+    game = random_game(np.random.default_rng(seed))
+    for mode in MODES:
+        for tol in (1e-9, 1e-12):
+            result = solve(game, mode, SolverParams(relative_gap_tol=tol))
+            assert result.relative_gap >= 0.0
+            assert result.equilibrium_violation == wardrop_gap(game, result.flow, mode)
+            assert result.social_cost_original == social_cost(game, result.flow)
+
+
+def test_strategyless_and_collapsed_types():
+    # Type "a" chooses between the constant road e1 and the linear road
+    # e2; type "empty" has no demand and no strategies; type "dup" lists
+    # the constant road e3 twice, so its strategies collapse to e3 and e2.
+    game = Game(
+        edges=(
+            Edge("e1", LatencyFunction((1.0,))),
+            Edge("e2", LatencyFunction((0.0, 1.0))),
+            Edge("e3", LatencyFunction((1.2,))),
+        ),
+        player_types=(
+            PlayerType("a", 1.0, (frozenset({"e1"}), frozenset({"e2"}))),
+            PlayerType("empty", 0.0, ()),
+            PlayerType("dup", 0.5, (frozenset({"e3"}), frozenset({"e2"}), frozenset({"e3"}))),
+        ),
+    )
+    assert game.player_types[2].multiplicities == (2, 1)
+    # At zero loads e2 costs nothing, so both types pick it.
+    assert best_response_flow(game, Flow({}), "original").amounts == {
+        ("a", 0): 0.0, ("a", 1): 1.0, ("dup", 0): 0.0, ("dup", 1): 0.5,
+    }
+    # Loads e1 0.5, e2 0.75, e3 0.25: "a" overpays 0.25 on e1 and "dup"
+    # 1.2 - 0.75 on e3.
+    split = Flow({("a", 0): 0.5, ("a", 1): 0.5, ("dup", 0): 0.25, ("dup", 1): 0.25})
+    assert wardrop_gap(game, split, "original") == 1.2 - 0.75
+    # Equilibrium: e2 carries load 1, all of "dup" and half of "a".
+    selfish = solve(game, "original")
+    assert selfish.flow.amount("a", 0) == pytest.approx(0.5, abs=1e-9)
+    assert selfish.flow.amount("a", 1) == pytest.approx(0.5, abs=1e-9)
+    assert selfish.flow.amount("dup", 0) == pytest.approx(0.0, abs=1e-9)
+    assert selfish.flow.amount("dup", 1) == pytest.approx(0.5, abs=1e-9)
+    assert selfish.social_cost_original == pytest.approx(1.5, abs=1e-9)
+    # Optimum: e2's marginal cost 2 x_e2 meets e1's 1 at x_e2 = 0.5,
+    # which "dup" fills alone.
+    optimal = solve(game, "marginal")
+    assert optimal.flow.amount("a", 0) == pytest.approx(1.0, abs=1e-9)
+    assert optimal.flow.amount("dup", 1) == pytest.approx(0.5, abs=1e-9)
+    assert optimal.social_cost_original == pytest.approx(1.25, abs=1e-9)
+    for result, mode in ((selfish, "original"), (optimal, "marginal")):
+        assert result.equilibrium_violation == wardrop_gap(game, result.flow, mode)
+        assert result.equilibrium_violation <= 1e-9
+
+
 def test_solve_large_game_is_fast():
     game = large_game(1)
     start = time.perf_counter()
@@ -300,6 +355,19 @@ def test_wardrop_gap_values(pigou):
 def test_wardrop_gap_ignores_trace_mass(pigou):
     flow = Flow({("t1", 0): 1e-12, ("t1", 1): 1.0 - 1e-12})
     assert wardrop_gap(pigou, flow, "original") == 0.0
+
+
+def test_wardrop_gap_is_nan_when_costs_overflow():
+    # Both strategies cost x^16 = inf at a load of 5e24, and inf - inf is
+    # NaN: the gap must not read as 0, which passes verify.
+    steep = LatencyFunction((0.0,) * 16 + (1.0,))
+    game = Game(
+        edges=(Edge("p", steep), Edge("q", steep)),
+        player_types=(PlayerType("t", 1e25, (frozenset({"p"}), frozenset({"q"}))),),
+    )
+    flow = Flow({("t", 0): 5e24, ("t", 1): 5e24})
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert math.isnan(wardrop_gap(game, flow, "original"))
 
 
 def test_wardrop_gap_rejects_infeasible(pigou):
