@@ -10,6 +10,7 @@ output keeps full precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -193,7 +194,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _add_solver_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iterations", type=_positive_int, default=None)
     parser.add_argument("--gap-tol", type=_positive_float, default=None,
-                        help="relative potential gap tolerance")
+                        help="stop at sum f*(cost - type's cheapest)/|potential|")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,10 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `run` reuses: building the subcommand tree costs about
+    twenty parses, so it is built once, on first use."""
+    return build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

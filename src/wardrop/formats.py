@@ -52,6 +52,20 @@ def _numbers(values: Any, path: str, *where: int) -> list[Any]:
     return values
 
 
+def _string(value: Any, path: str, *where: int) -> str:
+    if type(value) is not str:
+        raise FormatError(f"{path.format(*where)}: expected a string, got {value!r}")
+    return value
+
+
+def _strings(values: Any, path: str, *where: int) -> list[Any]:
+    """values, if it is a list of strings."""
+    for j, value in enumerate(_list(values, path, *where)):
+        if type(value) is not str:
+            _string(value, path + "[{}]", *where, j)
+    return values
+
+
 def _index(value: Any, path: str, *where: int) -> int:
     number = _number(value, path, *where)
     if not number.is_integer():
@@ -66,19 +80,20 @@ def game_from_dict(data: Any) -> Game:
         edges = []
         for k, entry in enumerate(_list(data["edges"], "edges")):
             coeffs = _numbers(entry["latency"]["coeffs"], "edges[{}].latency.coeffs", k)
-            edges.append(Edge(id=str(entry["id"]), latency=LatencyFunction(tuple(coeffs))))
+            edge_id = _string(entry["id"], "edges[{}].id", k)
+            edges.append(Edge(id=edge_id, latency=LatencyFunction(tuple(coeffs))))
         player_types = []
         for k, entry in enumerate(_list(data["player_types"], "player_types")):
             strategies = _list(entry["strategies"], "player_types[{}].strategies", k)
             members = [
-                _list(strategy, "player_types[{}].strategies[{}]", k, s)
+                _strings(strategy, "player_types[{}].strategies[{}]", k, s)
                 for s, strategy in enumerate(strategies)
             ]
             player_types.append(
                 PlayerType(
-                    id=str(entry["id"]),
+                    id=_string(entry["id"], "player_types[{}].id", k),
                     demand=_number(entry["demand"], "player_types[{}].demand", k),
-                    strategies=tuple(frozenset(map(str, m)) for m in members),
+                    strategies=tuple(map(frozenset, members)),
                 )
             )
     except FormatError:
@@ -136,7 +151,7 @@ def load_flow(path: str | Path, game: Game) -> Flow:
     amounts: dict[tuple[str, int], float] = {}
     for k, entry in enumerate(entries):
         try:
-            type_id = str(entry["type"])
+            type_id = _string(entry["type"], "amounts[{}].type", k)
             index = _index(entry["strategy"], "amounts[{}].strategy", k)
             amount = _number(entry["x"], "amounts[{}].x", k)
         except (KeyError, TypeError) as exc:

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -9,7 +12,8 @@ from helpers import hard_game
 from wardrop import Flow, cli
 from wardrop.formats import save_flow, save_game
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "fixtures"
 PIGOU = str(FIXTURES / "pigou.json")
 MONO = str(FIXTURES / "mono.json")
 
@@ -189,6 +193,81 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+# run() parses with one parser per process; no call may see what an
+# earlier call parsed or printed.
+
+
+def test_usage_error_then_good_solve(capsys):
+    assert run_lines(capsys, "solve")[0] == 2
+    code, lines, err = run_lines(capsys, "solve", PIGOU)
+    assert code == 0
+    assert err == ""
+    assert lines == [
+        "social cost: 1.000000",
+        "relative gap: 0.000000",
+        "iterations: 0",
+    ]
+
+
+def test_mode_does_not_carry_over(capsys):
+    assert run_lines(capsys, "solve", PIGOU, "--mode", "marginal")[1][0] == "social cost: 0.750000"
+    code, lines, _ = run_lines(capsys, "solve", PIGOU)
+    assert code == 0
+    assert lines[0] == "social cost: 1.000000"
+
+
+def test_required_option_does_not_carry_over(capsys):
+    assert run_lines(capsys, "sweep", PIGOU, "--n-list", "1,2")[0] == 0
+    code, lines, err = run_lines(capsys, "sweep", PIGOU)
+    assert code == 2
+    assert lines == []
+    assert "the following arguments are required: --n-list" in err
+
+
+def test_help_twice_is_identical(capsys):
+    first = run_lines(capsys, "--help")
+    second = run_lines(capsys, "--help")
+    assert first[0] == 0
+    assert first[1][0].startswith("usage: wardrop")
+    assert first == second
+
+
+def test_parse_error_reaches_the_current_stderr(capsys):
+    assert run_lines(capsys, "poa", PIGOU)[0] == 0
+    code, lines, err = run_lines(capsys, "batch", PIGOU, "--epsilon", "0")
+    assert code == 2
+    assert lines == []
+    assert err.startswith("usage: wardrop batch")
+    assert "must be positive and finite, got 0" in err
+
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_module_entry_point():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+
+    def wardrop(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "wardrop.cli", *argv],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    poa = wardrop("poa", "fixtures/pigou.json")
+    assert (poa.returncode, poa.stderr) == (0, "")
+    assert poa.stdout.splitlines() == [
+        "equilibrium social cost: 1.000000",
+        "optimal social cost: 0.750000",
+        "price of anarchy: 1.333333",
+    ]
+    usage = wardrop("--help")
+    assert usage.returncode == 0
+    listed = {line.split()[0] for line in usage.stdout.splitlines() if line.startswith("    ")}
+    assert listed >= {"solve", "optimum", "poa", "batch", "sweep", "verify", "oracle"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -271,6 +350,23 @@ def test_string_coefficients_exit_3(capsys, tmp_path):
     code, _, err = run_lines(capsys, "solve", str(path))
     assert code == 3
     assert "edges[0].latency.coeffs: expected a list, got '12'" in err
+
+
+def test_null_edge_id_exits_3(capsys, tmp_path):
+    # The edge id null used to load as the edge 'None', which the strategy
+    # [null] then named, and the solve exited 0.
+    path = tmp_path / "null_id.json"
+    path.write_text(
+        json.dumps(
+            {
+                "edges": [{"id": None, "latency": {"coeffs": [1.0]}}],
+                "player_types": [{"id": "t1", "demand": 1.0, "strategies": [[None]]}],
+            }
+        )
+    )
+    code, _, err = run_lines(capsys, "solve", str(path))
+    assert code == 3
+    assert "edges[0].id: expected a string, got None" in err
 
 
 def test_nan_demand_exits_3(capsys, tmp_path):

@@ -137,9 +137,21 @@ def pigou_document(coeffs=(1.0,), demand=1.0, strategies=(("a",), ("b",))):
     }
 
 
+def with_field(document, path, value):
+    """document with the field at path, a tuple of keys and indices, set
+    to value."""
+    *parents, last = path
+    target = document
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return document
+
+
 # Each of these documents used to load: "12" as the latency 1 + 2x, "ab"
-# as the strategies {a} and {b} or as the strategy {a, b}, true as 1.0
-# and "0.5" as 0.5; a huge integer raised an uncaught OverflowError.
+# as the strategies {a} and {b} or as the strategy {a, b}, true as 1.0,
+# "0.5" as 0.5, and ids or strategy members null and 7 as the strings
+# 'None' and '7'; a huge integer raised an uncaught OverflowError.
 @pytest.mark.parametrize(
     "document, message",
     [
@@ -157,6 +169,24 @@ def pigou_document(coeffs=(1.0,), demand=1.0, strategies=(("a",), ("b",))):
                      "player_types[0].demand: expected a number", id="demand-string"),
         pytest.param(pigou_document(coeffs=(10**400,)),
                      "edges[0].latency.coeffs[0]: number out of float range", id="coeff-huge"),
+        pytest.param(with_field(pigou_document(strategies=(("a",), (None,))),
+                                ("edges", 1, "id"), None),
+                     "edges[1].id: expected a string, got None", id="edge-id-null"),
+        pytest.param(with_field(pigou_document(), ("edges", 0, "id"), 7),
+                     "edges[0].id: expected a string, got 7", id="edge-id-int"),
+        pytest.param(with_field(pigou_document(), ("player_types", 0, "id"), 7),
+                     "player_types[0].id: expected a string, got 7", id="type-id-int"),
+        pytest.param(with_field(pigou_document(), ("player_types", 0, "id"), None),
+                     "player_types[0].id: expected a string, got None", id="type-id-null"),
+        pytest.param(pigou_document(strategies=(("a",), (None,))),
+                     "player_types[0].strategies[1][0]: expected a string, got None",
+                     id="member-null"),
+        pytest.param(pigou_document(strategies=(("a",), ("b", 7))),
+                     "player_types[0].strategies[1][1]: expected a string, got 7",
+                     id="member-int"),
+        pytest.param(pigou_document(strategies=(("a",), (("b",),))),
+                     "player_types[0].strategies[1][0]: expected a string, got ['b']",
+                     id="member-list"),
     ],
 )
 def test_load_game_rejects_wrong_field_types(tmp_path, document, message):
@@ -264,7 +294,7 @@ def test_load_flow_rejects_missing_amounts_key(tmp_path, pigou):
 
 
 # Each of these entries used to load: 1.7 and "1" as strategy 1, "1.0"
-# as 1.0 and true as 1.0.
+# as 1.0 and true as 1.0; a type 1 or null was looked up as '1' or 'None'.
 @pytest.mark.parametrize(
     "entry, message",
     [
@@ -276,6 +306,10 @@ def test_load_flow_rejects_missing_amounts_key(tmp_path, pigou):
                      "amounts[0].x: expected a number", id="amount-string"),
         pytest.param({"type": "t1", "strategy": 1, "x": True},
                      "amounts[0].x: expected a number", id="amount-bool"),
+        pytest.param({"type": 1, "strategy": 1, "x": 1.0},
+                     "amounts[0].type: expected a string, got 1", id="type-int"),
+        pytest.param({"type": None, "strategy": 1, "x": 1.0},
+                     "amounts[0].type: expected a string, got None", id="type-null"),
     ],
 )
 def test_load_flow_rejects_wrong_field_types(tmp_path, pigou, entry, message):
