@@ -8,6 +8,9 @@ batch counts grow. For a polynomial that sum is exact in the power sums
 S_j(N) = sum_b b^j (Faulhaber), so pricing an edge costs O(degree^2)
 integer operations for any N, and the overshoot over the plain cost is
 summed directly from nonnegative terms rather than as a difference.
+batch_sweep prices a flow under a whole list of uniform counts in one
+array pass: the flow is checked and loaded once, and every count's
+factors go through one Horner evaluation of the marginal bank.
 select_batch_system inverts the Riemann error bound to hit any requested
 total overshoot, and verify_batch_equilibrium checks the induced game's
 equilibrium condition at its worst case. Loads, plain edge costs and
@@ -19,12 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .model import FEASIBILITY_TOL, EdgeLoads, Flow, Game, _GameArrays, is_feasible
 from .solver import EPS_USE, SolverParams, SolveResult, solve, wardrop_gap
+
+#: Coefficients (counts x edges x polynomial width) that batch_sweep
+#: prices in one array pass; 2**20 float64 values are 8 MB per array.
+SWEEP_BLOCK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -34,14 +41,10 @@ class BatchSystem:
     counts: dict[str, int]
 
     def __post_init__(self) -> None:
-        normalized: dict[str, int] = {}
-        for edge_id, count in self.counts.items():
-            if count != int(count):
-                raise ValueError(f"batch count for '{edge_id}' must be an integer, got {count}")
-            count = int(count)
-            if count < 1:
-                raise ValueError(f"batch count for '{edge_id}' must be >= 1, got {count}")
-            normalized[str(edge_id)] = count
+        normalized = {
+            str(edge_id): _check_count(count, f"batch count for '{edge_id}'")
+            for edge_id, count in self.counts.items()
+        }
         object.__setattr__(self, "counts", normalized)
 
     @classmethod
@@ -93,10 +96,16 @@ class MechanismError(RuntimeError):
     """The mechanism's own guarantees failed on a solved flow."""
 
 
-def _check_count(n_batches: int) -> int:
-    if n_batches != int(n_batches) or int(n_batches) < 1:
-        raise ValueError(f"batch count must be an integer >= 1, got {n_batches}")
-    return int(n_batches)
+def _check_count(n_batches: int, what: str = "batch count") -> int:
+    """n_batches as an int; ValueError naming `what` unless it is an
+    integer >= 1 (inf, nan and strings such as '3' are not)."""
+    try:
+        count: int | None = int(n_batches)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != n_batches or count < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {n_batches!r}")
+    return count
 
 
 def _check_cover(game: Game, batch_system: BatchSystem) -> None:
@@ -163,20 +172,28 @@ def _riemann_factors(n: int, width: int) -> tuple[tuple[float, ...], tuple[float
 
 
 def _price(
-    view: _GameArrays, bank: np.ndarray, x: np.ndarray, counts: Sequence[int]
+    view: _GameArrays, bank: np.ndarray, x: np.ndarray, counts: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch costs and overshoot gaps, one per row of the marginal
-    coefficient bank, at loads x and the given batch counts.
+    """Batch costs and overshoot gaps of K pricings of the edges in the
+    marginal coefficient bank, at loads x.
 
-    With marginal coefficients c_j, an edge's batch cost is
-    sum_j c_j x^(j+1) ratio_j and its gap over the plain cost is
-    sum_j c_j x^(j+1) excess_j: both sums of nonnegative terms. Power
-    sums are computed once per distinct count.
+    Row k of counts holds the batch count of every edge, or one count
+    for all of them; the results have shape (K, edges). With marginal
+    coefficients c_j, an edge's batch cost is sum_j c_j x^(j+1) ratio_j
+    and its gap over the plain cost is sum_j c_j x^(j+1) excess_j: both
+    sums of nonnegative terms. Power sums are computed once per distinct
+    count, and all K rows go through one Horner pass.
     """
-    factors = {n: _riemann_factors(n, bank.shape[1]) for n in set(counts)}
-    ratio = np.array([factors[n][0] for n in counts])
-    excess = np.array([factors[n][1] for n in counts])
-    return view.edge_values(bank * ratio, x) * x, view.edge_values(bank * excess, x) * x
+    width = bank.shape[-1]
+    index = {n: i for i, n in enumerate({n for row in counts for n in row})}
+    factors = [_riemann_factors(n, width) for n in index]
+    ratio = np.array([f[0] for f in factors]).reshape(-1, width)
+    excess = np.array([f[1] for f in factors]).reshape(-1, width)
+    rows = np.array([[index[n] for n in row] for row in counts], dtype=np.intp)
+    return (
+        view.edge_values(bank * ratio[rows], x) * x,
+        view.edge_values(bank * excess[rows], x) * x,
+    )
 
 
 def batch_edge_cost(game: Game, loads: EdgeLoads, edge_id: str, n_batches: int) -> float:
@@ -188,8 +205,8 @@ def batch_edge_cost(game: Game, loads: EdgeLoads, edge_id: str, n_batches: int) 
     view = game._arrays
     k = view.edge_index[edge_id]
     bank = view.coeff_banks["marginal"][k : k + 1]
-    cost, _ = _price(view, bank, np.array([loads.total[edge_id]], dtype=float), [n])
-    return float(cost[0])
+    cost, _ = _price(view, bank, np.array([loads.total[edge_id]], dtype=float), [[n]])
+    return float(cost[0, 0])
 
 
 def batch_social_cost(
@@ -202,9 +219,9 @@ def batch_social_cost(
     view = game._arrays
     x = view.loads(view.flow_vector(flow))
     counts = [batch_system.counts[edge_id] for edge_id in game.edge_ids]
-    costs, gaps = _price(view, view.coeff_banks["marginal"], x, counts)
+    costs, gaps = _price(view, view.coeff_banks["marginal"], x, [counts])
     loads, base_costs = x.tolist(), view.edge_costs(x).tolist()
-    costs, gaps = costs.tolist(), gaps.tolist()
+    costs, gaps = costs[0].tolist(), gaps[0].tolist()
     per_edge: dict[str, BatchEdgeReport] = {}
     for edge_id, k in sorted(view.edge_index.items()):
         per_edge[edge_id] = BatchEdgeReport(
@@ -220,6 +237,37 @@ def batch_social_cost(
         total_original_cost=sum(r.base_cost for r in per_edge.values()),
         total_gap=sum(r.gap for r in per_edge.values()),
     )
+
+
+def batch_sweep(
+    game: Game, flow: Flow, counts: Iterable[int]
+) -> list[tuple[int, float, float]]:
+    """(count, total batch cost, total gap) of a feasible flow under each
+    uniform batch count, in the order given.
+
+    Every value equals what batch_social_cost reports for
+    BatchSystem.uniform(game, count): the flow is checked and loaded
+    once, each distinct count is priced once, and each row is summed by
+    Python's sum in ascending edge id, as batch_social_cost sums its
+    per-edge reports. Counts are priced SWEEP_BLOCK_FLOATS coefficients
+    at a time, which bounds memory on long count lists.
+    """
+    if not is_feasible(game, flow):
+        raise ValueError("infeasible flow")
+    counts = [_check_count(n) for n in counts]
+    view = game._arrays
+    x = view.loads(view.flow_vector(flow))
+    bank = view.coeff_banks["marginal"]
+    order = [k for _, k in sorted(view.edge_index.items())]
+    distinct = list(dict.fromkeys(counts))
+    step = max(1, SWEEP_BLOCK_FLOATS // max(1, bank.size))
+    totals: dict[int, tuple[float, float]] = {}
+    for start in range(0, len(distinct), step):
+        block = distinct[start : start + step]
+        costs, gaps = _price(view, bank, x, [[n] for n in block])
+        for n, cost_row, gap_row in zip(block, costs[:, order], gaps[:, order]):
+            totals[n] = (sum(cost_row.tolist()), sum(gap_row.tolist()))
+    return [(n, *totals[n]) for n in counts]
 
 
 def select_batch_system(

@@ -20,7 +20,7 @@ from . import formats, oracle
 from .batch import (
     BatchSystem,
     MechanismError,
-    batch_social_cost,
+    batch_sweep,
     mechanism_pipeline,
     verify_batch_equilibrium,
 )
@@ -157,9 +157,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     game = formats.load_game(args.game)
     optimum = solve(game, "marginal", _solver_params(args))
     print("N,batch_cost,gap")
-    for count in args.n_list:
-        report = batch_social_cost(game, optimum.flow, BatchSystem.uniform(game, count))
-        print(f"{count},{report.total_batch_cost!r},{report.total_gap!r}")
+    for count, cost, gap in batch_sweep(game, optimum.flow, args.n_list):
+        print(f"{count},{cost!r},{gap!r}")
     return 0
 
 

@@ -294,9 +294,15 @@ class _GameArrays:
         return f[start:stop] @ self.incidence[start:stop]
 
     def edge_values(self, bank: np.ndarray, x: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(x)
-        for j in range(bank.shape[1] - 1, -1, -1):
-            acc = acc * x + bank[:, j]
+        """Horner evaluation of each edge's polynomial at its load.
+
+        The last axis of bank holds the coefficients and the one before
+        it the edges, so a stack of banks of shape (K, E, w) gives K rows
+        of E values, each equal to what its own (E, w) bank gives.
+        """
+        acc = np.zeros(bank.shape[:-1])
+        for j in range(bank.shape[-1] - 1, -1, -1):
+            acc = acc * x + bank[..., j]
         return acc
 
     def edge_costs(self, x: np.ndarray) -> np.ndarray:

@@ -37,21 +37,23 @@ def random_game(
     return Game(tuple(edges), tuple(types))
 
 
-def large_game(seed: int) -> Game:
-    """A seeded game at the largest benchmark scale: 300 edges of degree 1
-    to 4 with positive constant terms, and 60 player types of 10
-    strategies with 2 to 6 edges each."""
+def large_game(
+    seed: int, n_edges: int = 300, n_types: int = 60, n_strategies: int = 10
+) -> Game:
+    """A seeded game, by default at the largest benchmark scale: 300 edges
+    of degree 1 to 4 with positive constant terms, and 60 player types of
+    10 strategies with 2 to 6 edges each."""
     rng = np.random.default_rng(seed)
     edges = []
-    for k in range(300):
+    for k in range(n_edges):
         higher = rng.uniform(0.0, 1.5, size=int(rng.integers(1, 5)))
         coeffs = (float(rng.uniform(0.1, 1.5)), *(float(c) for c in higher))
         edges.append(Edge(f"e{k}", LatencyFunction(coeffs)))
     types = []
-    for t in range(60):
+    for t in range(n_types):
         strategies = []
-        for _ in range(10):
-            members = rng.choice(300, size=int(rng.integers(2, 7)), replace=False)
+        for _ in range(n_strategies):
+            members = rng.choice(n_edges, size=int(rng.integers(2, 7)), replace=False)
             strategies.append(frozenset(f"e{int(i)}" for i in members))
         types.append(PlayerType(f"t{t}", float(rng.uniform(0.5, 1.5)), tuple(strategies)))
     return Game(tuple(edges), tuple(types))

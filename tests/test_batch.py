@@ -1,9 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_batch_system, random_feasible_flow, random_game
+from helpers import large_game, random_batch_system, random_feasible_flow, random_game
 from wardrop import (
     BatchSystem,
     Edge,
@@ -17,6 +20,7 @@ from wardrop import (
     batch_latency,
     batch_schedule,
     batch_social_cost,
+    batch_sweep,
     mechanism_pipeline,
     select_batch_system,
     social_cost,
@@ -39,6 +43,11 @@ def test_batch_system_validation():
         BatchSystem({"e1": 0})
     with pytest.raises(ValueError, match="integer"):
         BatchSystem({"e1": 1.5})
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"batch count for 'e1' .* got {bad!r}"):
+            BatchSystem({"e1": bad})
+    with pytest.raises(ValueError, match="batch count for 'e1' .* got '3'"):
+        BatchSystem({"e1": "3"})
 
 
 def test_batch_system_uniform(pigou):
@@ -140,8 +149,12 @@ def test_batch_pricing_at_huge_counts(pigou):
 
 
 def test_batch_edge_cost_rejects_bad_count(pigou):
+    loads = loads_of({"e1": 0.0, "e2": 0.5})
     with pytest.raises(ValueError, match=">= 1"):
-        batch_edge_cost(pigou, loads_of({"e1": 0.0, "e2": 0.5}), "e2", 0)
+        batch_edge_cost(pigou, loads, "e2", 0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"batch count must be .* got {bad!r}"):
+            batch_edge_cost(pigou, loads, "e2", bad)
 
 
 def test_batch_social_cost_pigou_optimum(pigou):
@@ -171,6 +184,70 @@ def test_batch_social_cost_rejects_incomplete_system(pigou):
 def test_batch_social_cost_rejects_infeasible(pigou):
     with pytest.raises(ValueError, match="infeasible"):
         batch_social_cost(pigou, Flow({("t1", 0): 0.2}), BatchSystem.uniform(pigou, 1))
+
+
+SWEEP_COUNTS = [1, 7, 1024, 2**22, 10**9]
+
+
+def assert_sweep_matches_per_count_pricing(game, flow, counts):
+    rows = batch_sweep(game, flow, counts)
+    assert [row[0] for row in rows] == list(counts)
+    for n, cost, gap in rows:
+        report = batch_social_cost(game, flow, BatchSystem.uniform(game, n))
+        assert (cost, gap) == (report.total_batch_cost, report.total_gap), n
+
+
+def test_batch_sweep_equals_per_count_pricing_on_fixtures(pigou, mono, twotype):
+    for game in (pigou, mono, twotype):
+        flows = [solve(game, "marginal").flow, solve(game, "original").flow]
+        for flow in flows:
+            assert_sweep_matches_per_count_pricing(game, flow, SWEEP_COUNTS)
+
+
+def test_batch_sweep_equals_per_count_pricing_on_random_games():
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        game = random_game(rng)
+        flow = random_feasible_flow(game, rng)
+        assert_sweep_matches_per_count_pricing(game, flow, SWEEP_COUNTS)
+    # Past 8 edges numpy's pairwise sum no longer adds left to right.
+    game = large_game(9, n_edges=30, n_types=6, n_strategies=4)
+    assert_sweep_matches_per_count_pricing(game, random_feasible_flow(game, rng), SWEEP_COUNTS)
+
+
+def test_batch_sweep_keeps_order_and_repeats(pigou):
+    rows = batch_sweep(pigou, OPTIMUM, [4, 1, 4])
+    assert [row[0] for row in rows] == [4, 1, 4]
+    assert rows[0] == rows[2]
+    assert batch_sweep(pigou, OPTIMUM, []) == []
+
+
+def test_batch_sweep_rejects_infeasible_flow_and_bad_counts(pigou):
+    with pytest.raises(ValueError, match="infeasible"):
+        batch_sweep(pigou, Flow({("t1", 0): 0.2}), [1, 2])
+    for bad in (0, 1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"batch count must be .* got {bad!r}"):
+            batch_sweep(pigou, OPTIMUM, [1, bad])
+
+
+def test_batch_sweep_memory_is_bounded_on_long_count_lists():
+    # 50 000 counts on a 30-edge game of degree up to 4 peak at about
+    # 32 MB when priced in blocks, and at about 128 MB in a single block.
+    game = large_game(3, n_edges=30, n_types=6, n_strategies=4)
+    flow = random_feasible_flow(game, np.random.default_rng(3))
+    counts = range(1, 100_001, 2)
+    tracemalloc.start()
+    try:
+        rows = batch_sweep(game, flow, counts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert len(rows) == len(counts)
+    for k in (0, 1, 4321, 25_000, len(counts) - 1):
+        n, cost, gap = rows[k]
+        report = batch_social_cost(game, flow, BatchSystem.uniform(game, n))
+        assert (n, cost, gap) == (counts[k], report.total_batch_cost, report.total_gap)
 
 
 def test_select_batch_system_pigou(pigou):

@@ -110,8 +110,25 @@ def test_sweep_plain_list_sorted_unique(capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "4"]
 
 
+def test_sweep_matches_golden_output(capsys):
+    # Recorded from per-count pricing; batch_sweep must reproduce it byte for byte.
+    expected = (ROOT / "tests" / "data" / "pigou_sweep.csv").read_text(encoding="utf-8")
+    assert cli.run(["sweep", PIGOU, "--n-list", "1,2,4,...,1024"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_sweep_progressions(capsys):
+    # Geometric when the second value is a multiple >= 2 of the first,
+    # arithmetic otherwise.
+    for n_list, counts in (("1,3,...,9", ["1", "3", "9"]),
+                           ("3,5,...,11", ["3", "5", "7", "9", "11"])):
+        code, lines, _ = run_lines(capsys, "sweep", PIGOU, "--n-list", n_list)
+        assert code == 0
+        assert [line.split(",")[0] for line in lines[1:]] == counts
+
+
 def test_sweep_rejects_bad_lists(capsys):
-    for bad in ("1,2,...", "5,3,...,1", "1,2,...,9", "0,2,...,8", "x"):
+    for bad in ("1,2,...", "5,3,...,1", "1,2,...,9", "1,2,...,3", "0,2,...,8", "x"):
         code, _, err = run_lines(capsys, "sweep", PIGOU, "--n-list", bad)
         assert code == 2, bad
         assert "usage" in err
