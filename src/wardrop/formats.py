@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import OrderedDict
 from pathlib import Path
 from typing import IO, Any
 
@@ -22,6 +23,14 @@ from .solver import SolveResult
 
 class FormatError(ValueError):
     """A document parsed as JSON but does not match the expected schema."""
+
+
+#: How many games load_game keeps, keyed by the full text they came from.
+GAME_CACHE_SIZE = 4
+
+# Valid games built from the last GAME_CACHE_SIZE distinct texts, least
+# recently used first.
+_games: OrderedDict[str, Game] = OrderedDict()
 
 
 # The checks below take the field's path as a format template plus its
@@ -121,15 +130,27 @@ def game_to_dict(game: Game) -> dict[str, Any]:
 def load_game(path: str | Path) -> Game:
     """Parse and validate a game file.
 
+    The file is read on every call. A text identical to one of the last
+    GAME_CACHE_SIZE distinct texts loaded returns the same immutable Game,
+    with its vector view and validation report already built; any change
+    to the text parses it anew.
+
     Raises json.JSONDecodeError (with line and column) on bad JSON,
     FormatError on schema mismatch, and GameValidationError listing every
-    structural violation.
+    structural violation; a text that fails is never kept.
     """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    game = game_from_dict(data)
+    text = Path(path).read_text(encoding="utf-8")
+    game = _games.get(text)
+    if game is not None:
+        _games.move_to_end(text)
+        return game
+    game = game_from_dict(json.loads(text))
     report = validate_game(game)
     if report:
         raise GameValidationError(report)
+    _games[text] = game
+    if len(_games) > GAME_CACHE_SIZE:
+        _games.popitem(last=False)
     return game
 
 

@@ -8,12 +8,14 @@ per-type cost) are evaluated here.
 
 Every evaluation, here and in the solver and batch pricing, goes through
 one dense vector view of the game (_GameArrays), built on first use and
-kept on the frozen Game.
+kept on the frozen Game. Its arrays are read-only, since one Game may be
+shared by every caller that loads the same file.
 
 All structural invariants are checked by validate_game, which returns a
-report instead of raising so a bad input can be diagnosed in full. The
-operations below raise ValueError only for genuine contract violations
-(unknown ids, infeasible flows).
+report instead of raising so a bad input can be diagnosed in full; the
+report is computed once per Game and kept with it. The operations below
+raise ValueError only for genuine contract violations (unknown ids,
+infeasible flows).
 """
 
 from __future__ import annotations
@@ -97,6 +99,10 @@ class Game:
     def _arrays(self) -> _GameArrays:
         return _GameArrays(self)
 
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        return tuple(_check_game(self))
+
 
 @dataclass(frozen=True)
 class Flow:
@@ -150,8 +156,13 @@ def validate_game(game: Game) -> list[Violation]:
     coefficient lists, finite nonnegative coefficients, degree cap, unique
     edge and type ids, finite nonnegative demands, strategies present
     whenever demand is positive, nonempty strategies, and strategy edges
-    that exist.
+    that exist. The checks run on the first call for a game; every call
+    returns a new list.
     """
+    return list(game._violations)
+
+
+def _check_game(game: Game) -> list[Violation]:
     violations: list[Violation] = []
     seen_edge_ids: set[str] = set()
     for k, edge in enumerate(game.edges):
@@ -226,6 +237,9 @@ class _GameArrays:
     sweep; the leading zeros of the padding are exact, so every entry
     equals the scalar Horner value of its own polynomial. The integral
     and derivative banks of each mode are padded the same way.
+
+    Every array is read-only: the view lives as long as its Game, which
+    load_game hands to every caller that loads the same text.
     """
 
     def __init__(self, game: Game):
@@ -269,6 +283,12 @@ class _GameArrays:
             derivative = np.zeros_like(b)
             derivative[:, :-1] = b[:, 1:] * powers[:-1]
             self.derivative_banks[mode] = derivative
+        for array in (
+            self.demand, self.owner, self.slots, self.incidence,
+            *self.coeff_banks.values(), *self.integral_banks.values(),
+            *self.derivative_banks.values(),
+        ):
+            array.flags.writeable = False
 
     def flow_vector(self, flow: Flow) -> np.ndarray:
         f = np.zeros(len(self.keys))

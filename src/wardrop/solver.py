@@ -42,6 +42,8 @@ the flow vector and its per-type reductions.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +80,11 @@ class SolverParams:
     relative_gap_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
+        n = self.max_iterations
+        # Exact integers only: a bool is an int, and a float budget would
+        # fail later, inside the solve loop.
+        if type(n) is bool or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"max_iterations must be an integer of at least 1, got {n!r}")
         tol = self.relative_gap_tol
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"relative_gap_tol must be positive and finite, got {tol}")
@@ -98,16 +103,21 @@ class SolveResult:
 class ConvergenceError(RuntimeError):
     """The solve ran out of iterations or left the finite numbers.
 
-    flow is the last iterate, when the solver had one.
+    gaps holds the relative gap of every iterate from the first to the
+    failing one, so iterations is one less than its length and
+    relative_gap is its last entry. flow is the last iterate, when the
+    solver had one.
     """
 
-    def __init__(self, iterations: int, relative_gap: float, flow: Flow | None = None):
-        super().__init__(
-            f"no convergence after {iterations} iterations, relative gap {relative_gap:.3e}"
-        )
-        self.iterations = iterations
-        self.relative_gap = relative_gap
+    def __init__(self, gaps: Sequence[float], flow: Flow | None = None):
+        self.gaps = tuple(gaps)
+        self.iterations = len(self.gaps) - 1
+        self.relative_gap = self.gaps[-1]
         self.flow = flow
+        super().__init__(
+            f"no convergence after {self.iterations} iterations, "
+            f"relative gap {self.relative_gap:.3e}"
+        )
 
 
 def _check_mode(mode: str) -> None:
@@ -268,8 +278,9 @@ def solve(
     (any feasible flow) is given. Stops when the flow-weighted excess of
     each strategy's cost over its type's cheapest, relative to the
     potential magnitude, drops to relative_gap_tol.
-    Raises ConvergenceError, carrying the last iterate, if the budget
-    runs out first or as soon as the potential or the gap is not finite.
+    Raises ConvergenceError, carrying the last iterate and the relative
+    gap of every iterate, if the budget runs out first or as soon as the
+    potential or the gap is not finite.
     """
     _check_mode(mode)
     if params is None:
@@ -286,6 +297,7 @@ def solve(
             raise ValueError("initial flow is infeasible")
         f = arrays.flow_vector(initial_flow)
 
+    gaps: list[float] = []
     for iteration in range(params.max_iterations + 1):
         x = arrays.loads(f)
         costs = arrays.strategy_costs(x, mode)
@@ -293,12 +305,13 @@ def solve(
         gap = float(f @ excess)
         phi = arrays.potential(x, mode)
         relative_gap = gap / max(abs(phi), EPS_DENOM)
+        gaps.append(relative_gap)
         if not (math.isfinite(phi) and math.isfinite(gap)):
-            raise ConvergenceError(iteration, relative_gap, arrays.to_flow(f))
+            raise ConvergenceError(gaps, arrays.to_flow(f))
         if relative_gap <= params.relative_gap_tol:
             break
         if iteration == params.max_iterations:
-            raise ConvergenceError(iteration, relative_gap, arrays.to_flow(f))
+            raise ConvergenceError(gaps, arrays.to_flow(f))
         f = _newton_step(arrays, f, x, costs, mode)
 
     return SolveResult(

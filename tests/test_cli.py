@@ -316,6 +316,34 @@ def test_truncated_json_exits_3(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+def pigou_text(demand):
+    document = json.loads(Path(PIGOU).read_text())
+    document["player_types"][0]["demand"] = demand
+    return json.dumps(document)
+
+
+def test_solve_reads_a_game_rewritten_in_place(capsys, tmp_path):
+    path = tmp_path / "game.json"
+    path.write_text(pigou_text(1.0))
+    code, lines, _ = run_lines(capsys, "solve", str(path))
+    assert (code, lines[0]) == (0, "social cost: 1.000000")
+    path.write_text(pigou_text(2.0))
+    code, lines, _ = run_lines(capsys, "solve", str(path))
+    assert (code, lines[0]) == (0, "social cost: 2.000000")
+
+
+def test_malformed_game_exits_3_until_fixed(capsys, tmp_path):
+    path = tmp_path / "game.json"
+    path.write_text(pigou_text(1.0)[:-1])
+    for _ in range(2):
+        code, _, err = run_lines(capsys, "solve", str(path))
+        assert code == 3
+        assert "invalid JSON" in err
+    path.write_text(pigou_text(1.0))
+    code, lines, _ = run_lines(capsys, "solve", str(path))
+    assert (code, lines[0]) == (0, "social cost: 1.000000")
+
+
 def test_invalid_game_exits_3(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -15,9 +16,12 @@ from wardrop import (
     LatencyFunction,
     PlayerType,
     batch_social_cost,
+    formats,
+    model,
     solve,
 )
 from wardrop.formats import (
+    GAME_CACHE_SIZE,
     FormatError,
     batch_report_to_dict,
     flow_to_dict,
@@ -216,6 +220,67 @@ def test_load_game_rejects_invalid_game(tmp_path):
     )
     with pytest.raises(GameValidationError, match="negative coefficient"):
         load_game(path)
+
+
+@pytest.fixture
+def empty_game_cache(monkeypatch):
+    """load_game with no texts loaded yet, and a count of view builds."""
+    monkeypatch.setattr(formats, "_games", OrderedDict())
+    builds = []
+
+    class CountingArrays(model._GameArrays):
+        def __init__(self, game):
+            builds.append(game)
+            super().__init__(game)
+
+    monkeypatch.setattr(model, "_GameArrays", CountingArrays)
+    return builds
+
+
+def test_load_game_reuses_unchanged_text(tmp_path, empty_game_cache):
+    path = write_json(tmp_path / "game.json", pigou_document(demand=1.0))
+    game = load_game(path)
+    solve(game, "original")
+    again = load_game(path)
+    assert again is game
+    solve(again, "marginal")
+    assert empty_game_cache == [game]
+
+
+def test_load_game_rereads_rewritten_file(tmp_path, empty_game_cache):
+    path = write_json(tmp_path / "game.json", pigou_document(demand=1.0))
+    first = load_game(path)
+    write_json(path, pigou_document(demand=2.0))
+    second = load_game(path)
+    assert second is not first
+    assert (first.player_types[0].demand, second.player_types[0].demand) == (1.0, 2.0)
+    assert solve(second, "original").social_cost_original == pytest.approx(2.0)
+
+
+def test_load_game_keeps_the_last_distinct_texts(tmp_path, empty_game_cache):
+    paths = [
+        write_json(tmp_path / f"game{k}.json", pigou_document(demand=float(k + 1)))
+        for k in range(GAME_CACHE_SIZE + 1)
+    ]
+    games = [load_game(path) for path in paths]
+    # The newest GAME_CACHE_SIZE texts are kept; the oldest was dropped.
+    assert all(load_game(path) is game for path, game in zip(paths[1:], games[1:]))
+    assert load_game(paths[0]) is not games[0]
+
+
+def test_load_game_raises_for_a_bad_text_on_every_call(tmp_path, empty_game_cache):
+    path = tmp_path / "game.json"
+    path.write_text('{"edges": [')
+    for _ in range(2):
+        with pytest.raises(json.JSONDecodeError):
+            load_game(path)
+    write_json(path, pigou_document(demand=-1.0))
+    for _ in range(2):
+        with pytest.raises(GameValidationError, match="negative demand"):
+            load_game(path)
+    assert list(formats._games) == []
+    write_json(path, pigou_document(demand=1.0))
+    assert load_game(path).player_types[0].demand == 1.0
 
 
 def test_flow_round_trip(tmp_path):

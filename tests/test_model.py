@@ -10,6 +10,7 @@ from wardrop import (
     PlayerType,
     edge_loads,
     is_feasible,
+    model,
     player_cost,
     potential,
     social_cost,
@@ -271,3 +272,29 @@ def test_evaluators_match_independent_polynomial_path():
         for mode, polys in (("original", latencies), ("marginal", marginals)):
             integral = sum(np.polyval(np.polyint(p), x) for p, x in zip(polys, loads))
             assert potential(game, flow, mode) == pytest.approx(integral, rel=1e-12)
+
+
+def test_validate_game_checks_once_and_returns_a_new_list(monkeypatch):
+    calls = []
+    check = model._check_game
+    monkeypatch.setattr(model, "_check_game", lambda game: calls.append(game) or check(game))
+    game = pigou_variant(demand=-1.0)
+    first = validate_game(game)
+    first.clear()
+    second = validate_game(game)
+    assert len(second) == 1 and "negative demand" in second[0].message
+    assert second is not validate_game(game)
+    assert calls == [game]
+
+
+def test_view_arrays_are_read_only(pigou):
+    view = pigou._arrays
+    with pytest.raises(ValueError, match="read-only"):
+        view.incidence[0, 0] = 2.0
+    # Every array attribute, including the per-mode banks kept in dicts.
+    values = []
+    for value in vars(view).values():
+        values += value.values() if isinstance(value, dict) else [value]
+    arrays = [value for value in values if isinstance(value, np.ndarray)]
+    assert len(arrays) >= 10
+    assert not any(array.flags.writeable for array in arrays)

@@ -62,6 +62,9 @@ def newton_step(game, flow, mode):
 def test_solver_params_validation():
     with pytest.raises(ValueError):
         SolverParams(max_iterations=0)
+    for value in (2.5, float("nan"), float("inf"), True):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolverParams(max_iterations=value)
     with pytest.raises(ValueError):
         SolverParams(relative_gap_tol=0.0)
 
@@ -204,6 +207,20 @@ def test_solve_raises_on_iteration_budget():
     assert is_feasible(game, info.value.flow)
 
 
+def test_convergence_error_keeps_the_gap_history():
+    game = hard_game()
+    assert solve(game, "original").iterations > 2
+    with pytest.raises(ConvergenceError) as info:
+        solve(game, "original", SolverParams(max_iterations=2))
+    error = info.value
+    assert len(error.gaps) == 3
+    assert error.gaps[-1] == error.relative_gap
+    assert all(gap > 1e-9 and math.isfinite(gap) for gap in error.gaps)
+    assert str(error) == (
+        f"no convergence after 2 iterations, relative gap {error.relative_gap:.3e}"
+    )
+
+
 def test_solve_stops_on_non_finite_iterate():
     # x^16 at a load of 1e25 overflows: the first potential is infinite.
     game = Game(
@@ -217,6 +234,7 @@ def test_solve_stops_on_non_finite_iterate():
         solve(game, "original")
     assert info.value.iterations == 0
     assert math.isnan(info.value.relative_gap)
+    assert len(info.value.gaps) == 1 and math.isnan(info.value.gaps[0])
     assert info.value.flow.amounts == {("t", 0): 0.0, ("t", 1): 1e25}
 
 
