@@ -8,9 +8,6 @@ from .batch import (
     BatchSystem,
     MechanismError,
     MechanismReport,
-    batch_edge_cost,
-    batch_latency,
-    batch_schedule,
     batch_social_cost,
     batch_sweep,
     mechanism_pipeline,
@@ -21,13 +18,11 @@ from .formats import FormatError, load_flow, load_game, save_flow, save_game
 from .latency import MAX_DEGREE, LatencyFunction
 from .model import (
     Edge,
-    EdgeLoads,
     Flow,
     Game,
     GameValidationError,
     PlayerType,
     Violation,
-    edge_loads,
     is_feasible,
     player_cost,
     social_cost,
@@ -52,7 +47,6 @@ __all__ = [
     "BatchSystem",
     "ConvergenceError",
     "Edge",
-    "EdgeLoads",
     "Flow",
     "FormatError",
     "Game",
@@ -65,12 +59,8 @@ __all__ = [
     "SolveResult",
     "SolverParams",
     "Violation",
-    "batch_edge_cost",
-    "batch_latency",
-    "batch_schedule",
     "batch_social_cost",
     "batch_sweep",
-    "edge_loads",
     "is_feasible",
     "load_flow",
     "load_game",

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import FEASIBILITY_TOL, EdgeLoads, Flow, Game, _GameArrays, is_feasible
+from .model import FEASIBILITY_TOL, Flow, Game, _GameArrays
 from .solver import EPS_USE, SolverParams, SolveResult, solve, wardrop_gap
 
 #: Coefficients (counts x edges x polynomial width) that batch_sweep
@@ -122,32 +122,6 @@ def _check_cover(game: Game, batch_system: BatchSystem) -> None:
         raise ValueError("incomplete batch system: " + ", ".join(parts))
 
 
-def batch_latency(
-    game: Game, loads: EdgeLoads, edge_id: str, batch_index: int, n_batches: int
-) -> float:
-    """Per-unit latency charged to batch b of N on one edge."""
-    n = _check_count(n_batches)
-    if batch_index != int(batch_index) or not 1 <= int(batch_index) <= n:
-        raise ValueError(f"batch index {batch_index} out of range 1..{n}")
-    fraction = int(batch_index) / n
-    return game.edge(edge_id).latency.marginal()(fraction * loads.total[edge_id])
-
-
-def batch_schedule(
-    game: Game, loads: EdgeLoads, edge_id: str, n_batches: int
-) -> list[tuple[int, float, float]]:
-    """All (batch index, per-unit latency, batch mass) rows for one edge.
-
-    Latencies are nondecreasing in the batch index and the masses sum to
-    the edge load.
-    """
-    n = _check_count(n_batches)
-    mass = loads.total[edge_id] / n
-    return [
-        (b, batch_latency(game, loads, edge_id, b, n), mass) for b in range(1, n + 1)
-    ]
-
-
 def _riemann_factors(n: int, width: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Per-power factors of the right Riemann sum with n panels on [0, 1].
 
@@ -172,10 +146,10 @@ def _riemann_factors(n: int, width: int) -> tuple[tuple[float, ...], tuple[float
 
 
 def _price(
-    view: _GameArrays, bank: np.ndarray, x: np.ndarray, counts: Sequence[Sequence[int]]
+    view: _GameArrays, x: np.ndarray, counts: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch costs and overshoot gaps of K pricings of the edges in the
-    marginal coefficient bank, at loads x.
+    """Batch costs and overshoot gaps of K pricings of the game's edges
+    at loads x.
 
     Row k of counts holds the batch count of every edge, or one count
     for all of them; the results have shape (K, edges). With marginal
@@ -184,6 +158,7 @@ def _price(
     sums of nonnegative terms. Power sums are computed once per distinct
     count, and all K rows go through one Horner pass.
     """
+    bank = view.coeff_banks["marginal"]
     width = bank.shape[-1]
     index = {n: i for i, n in enumerate({n for row in counts for n in row})}
     factors = [_riemann_factors(n, width) for n in index]
@@ -196,30 +171,15 @@ def _price(
     )
 
 
-def batch_edge_cost(game: Game, loads: EdgeLoads, edge_id: str, n_batches: int) -> float:
-    """Total batch cost of one edge: the right-endpoint Riemann sum
-    (x_e / N) * sum_b lhat((b / N) * x_e) of the marginal-cost latency,
-    in closed form."""
-    n = _check_count(n_batches)
-    game.edge(edge_id)  # raises on an unknown edge id
-    view = game._arrays
-    k = view.edge_index[edge_id]
-    bank = view.coeff_banks["marginal"][k : k + 1]
-    cost, _ = _price(view, bank, np.array([loads.total[edge_id]], dtype=float), [[n]])
-    return float(cost[0, 0])
-
-
 def batch_social_cost(
     game: Game, flow: Flow, batch_system: BatchSystem, tol: float = FEASIBILITY_TOL
 ) -> BatchReport:
     """Batch-price an entire feasible flow, edge by edge."""
-    if not is_feasible(game, flow, tol):
-        raise ValueError("infeasible flow")
-    _check_cover(game, batch_system)
     view = game._arrays
-    x = view.loads(view.flow_vector(flow))
+    x = view.loads(view.feasible_vector(flow, tol))
+    _check_cover(game, batch_system)
     counts = [batch_system.counts[edge_id] for edge_id in game.edge_ids]
-    costs, gaps = _price(view, view.coeff_banks["marginal"], x, [counts])
+    costs, gaps = _price(view, x, [counts])
     loads, base_costs = x.tolist(), view.edge_costs(x).tolist()
     costs, gaps = costs[0].tolist(), gaps[0].tolist()
     per_edge: dict[str, BatchEdgeReport] = {}
@@ -252,19 +212,16 @@ def batch_sweep(
     per-edge reports. Counts are priced SWEEP_BLOCK_FLOATS coefficients
     at a time, which bounds memory on long count lists.
     """
-    if not is_feasible(game, flow):
-        raise ValueError("infeasible flow")
-    counts = [_check_count(n) for n in counts]
     view = game._arrays
-    x = view.loads(view.flow_vector(flow))
-    bank = view.coeff_banks["marginal"]
+    x = view.loads(view.feasible_vector(flow))
+    counts = [_check_count(n) for n in counts]
     order = [k for _, k in sorted(view.edge_index.items())]
     distinct = list(dict.fromkeys(counts))
-    step = max(1, SWEEP_BLOCK_FLOATS // max(1, bank.size))
+    step = max(1, SWEEP_BLOCK_FLOATS // max(1, view.coeff_banks["marginal"].size))
     totals: dict[int, tuple[float, float]] = {}
     for start in range(0, len(distinct), step):
         block = distinct[start : start + step]
-        costs, gaps = _price(view, bank, x, [[n] for n in block])
+        costs, gaps = _price(view, x, [[n] for n in block])
         for n, cost_row, gap_row in zip(block, costs[:, order], gaps[:, order]):
             totals[n] = (sum(cost_row.tolist()), sum(gap_row.tolist()))
     return [(n, *totals[n]) for n in counts]
@@ -282,10 +239,8 @@ def select_batch_system(
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if not is_feasible(game, flow):
-        raise ValueError("infeasible flow")
     view = game._arrays
-    x = view.loads(view.flow_vector(flow))
+    x = view.loads(view.feasible_vector(flow))
     marginal = view.coeff_banks["marginal"]
     span = view.edge_values(marginal, x) - marginal[:, 0]
     loaded = x > eps_use

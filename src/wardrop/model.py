@@ -21,6 +21,7 @@ infeasible flows).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -108,15 +109,17 @@ class Game:
 class Flow:
     """Per-strategy amounts keyed by (type id, strategy index).
 
-    Missing keys mean zero. The dict is treated as immutable by
-    convention; all operations in this package return fresh flows.
+    Missing keys mean zero. A strategy index that is not an integer
+    (a float, a bool, a string) is a ValueError naming its key. The dict
+    is treated as immutable by convention; all operations in this
+    package return fresh flows.
     """
 
     amounts: dict[tuple[str, int], float]
 
     def __post_init__(self) -> None:
         normalized = {
-            (str(t), int(s)): float(v) for (t, s), v in self.amounts.items()
+            (str(t), _strategy_index(t, s)): float(v) for (t, s), v in self.amounts.items()
         }
         object.__setattr__(self, "amounts", normalized)
 
@@ -124,12 +127,14 @@ class Flow:
         return self.amounts.get((type_id, strategy_index), 0.0)
 
 
-@dataclass(frozen=True)
-class EdgeLoads:
-    """Aggregated loads: per (edge id, type id) and total per edge id."""
-
-    per_type: dict[tuple[str, str], float]
-    total: dict[str, float]
+def _strategy_index(type_id: object, index: object) -> int:
+    # bool is an int subclass, and int() would truncate a float. The
+    # exact-int test first skips the slow ABC check on the common case.
+    if type(index) is not int and (
+        isinstance(index, bool) or not isinstance(index, numbers.Integral)
+    ):
+        raise ValueError(f"flow key {(type_id, index)!r}: strategy index must be an integer")
+    return int(index)
 
 
 @dataclass(frozen=True)
@@ -303,6 +308,20 @@ class _GameArrays:
             f[row] = amount
         return f
 
+    def feasible_vector(self, flow: Flow, tol: float = FEASIBILITY_TOL) -> np.ndarray:
+        """flow_vector of a feasible flow: amounts nonnegative, on existing
+        strategies, and each type's summing (in row order) to its demand
+        within tol. Raises ValueError("infeasible flow") otherwise."""
+        try:
+            f = self.flow_vector(flow)
+        except ValueError:
+            raise ValueError("infeasible flow") from None
+        sums = np.bincount(self.owner, f, minlength=len(self.demand))
+        # min and max propagate NaN, which fails both comparisons.
+        if not (f.min(initial=0.0) >= 0 and np.abs(sums - self.demand).max(initial=0.0) <= tol):
+            raise ValueError("infeasible flow")
+        return f
+
     def to_flow(self, f: np.ndarray) -> Flow:
         return Flow({key: float(v) for key, v in zip(self.keys, f)})
 
@@ -357,50 +376,26 @@ class _GameArrays:
         return f[:-1]
 
 
-def edge_loads(game: Game, flow: Flow) -> EdgeLoads:
-    """Aggregate a flow into per-type and total edge loads.
-
-    Raises ValueError if the flow references an unknown player type or a
-    strategy index out of range.
-    """
-    view = game._arrays
-    f = view.flow_vector(flow)
-    per_type = {
-        (edge_id, type_id): x
-        for type_id in view.spans
-        for edge_id, x in zip(game.edge_ids, view.type_loads(f, type_id).tolist())
-    }
-    return EdgeLoads(per_type=per_type, total=dict(zip(game.edge_ids, view.loads(f).tolist())))
-
-
 def is_feasible(game: Game, flow: Flow, tol: float = FEASIBILITY_TOL) -> bool:
     """True iff all amounts are nonnegative, reference existing strategies,
     and each type's amounts sum to its demand within tol."""
-    sums = {t.id: 0.0 for t in game.player_types}
-    for (type_id, index), amount in flow.amounts.items():
-        if amount < 0:
-            return False
-        ptype = game._types_by_id.get(type_id)
-        if ptype is None or not 0 <= index < len(ptype.strategies):
-            return False
-        sums[type_id] += amount
-    return all(abs(sums[t.id] - t.demand) <= tol for t in game.player_types)
+    try:
+        game._arrays.feasible_vector(flow, tol)
+    except ValueError:
+        return False
+    return True
 
 
 def social_cost(game: Game, flow: Flow, tol: float = FEASIBILITY_TOL) -> float:
     """Total cost sum_e l_e(x_e) * x_e of a feasible flow."""
-    if not is_feasible(game, flow, tol):
-        raise ValueError("infeasible flow")
     view = game._arrays
-    return float(view.edge_costs(view.loads(view.flow_vector(flow))).sum())
+    return float(view.edge_costs(view.loads(view.feasible_vector(flow, tol))).sum())
 
 
 def player_cost(game: Game, flow: Flow, type_id: str, tol: float = FEASIBILITY_TOL) -> float:
     """Cost borne by one player type: sum_e l_e(x_e) * x_e^i."""
     game.player_type(type_id)  # raises for an unknown type
-    if not is_feasible(game, flow, tol):
-        raise ValueError("infeasible flow")
     view = game._arrays
-    f = view.flow_vector(flow)
+    f = view.feasible_vector(flow, tol)
     latencies = view.edge_values(view.coeff_banks["original"], view.loads(f))
     return float(latencies @ view.type_loads(f, type_id))

@@ -53,7 +53,6 @@ from .model import (
     Game,
     GameValidationError,
     _GameArrays,
-    is_feasible,
     validate_game,
 )
 
@@ -293,9 +292,10 @@ def solve(
         zero = np.zeros(len(game.edges))
         f = arrays.all_or_nothing(arrays.strategy_costs(zero, mode))
     else:
-        if not is_feasible(game, initial_flow):
-            raise ValueError("initial flow is infeasible")
-        f = arrays.flow_vector(initial_flow)
+        try:
+            f = arrays.feasible_vector(initial_flow)
+        except ValueError:
+            raise ValueError("initial flow is infeasible") from None
 
     gaps: list[float] = []
     for iteration in range(params.max_iterations + 1):
@@ -336,10 +336,8 @@ def wardrop_gap(game: Game, flow: Flow, mode: str, eps_use: float = EPS_USE) -> 
     equilibrium in the given mode. Requires a feasible flow.
     """
     _check_mode(mode)
-    if not is_feasible(game, flow):
-        raise ValueError("infeasible flow")
     view = game._arrays
-    f = view.flow_vector(flow)
+    f = view.feasible_vector(flow)
     return _worst_excess(f, view.excess(view.strategy_costs(view.loads(f), mode)), eps_use)
 
 

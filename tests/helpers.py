@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from wardrop import BatchSystem, Edge, Flow, Game, LatencyFunction, PlayerType
+from wardrop.model import FEASIBILITY_TOL
 
 
 def random_game(
@@ -94,3 +95,30 @@ def hard_game() -> Game:
     for _ in range(26):
         game = random_game(rng)
     return game
+
+
+def loads_by_edge(game: Game, flow: Flow) -> dict[str, float]:
+    """Total load per edge id, read from the game's vector view."""
+    view = game._arrays
+    return dict(zip(game.edge_ids, view.loads(view.flow_vector(flow)).tolist()))
+
+
+def reference_is_feasible(game: Game, flow: Flow, tol: float = FEASIBILITY_TOL) -> bool:
+    """The dict loop that is_feasible ran before it went through the
+    vector view. One difference: each type's amounts are summed in
+    strategy order, as the view sums its rows, where the loop summed them
+    in the flow's insertion order; the two can round apart by an ulp."""
+    for (type_id, index), amount in flow.amounts.items():
+        if amount < 0:
+            return False
+        ptype = next((t for t in game.player_types if t.id == type_id), None)
+        if ptype is None or not 0 <= index < len(ptype.strategies):
+            return False
+    for ptype in game.player_types:
+        total = 0.0
+        for s in range(len(ptype.strategies)):
+            if (ptype.id, s) in flow.amounts:
+                total += flow.amounts[(ptype.id, s)]
+        if not abs(total - ptype.demand) <= tol:
+            return False
+    return True

@@ -14,6 +14,7 @@ import numpy as np
 
 from helpers import (
     last_strategy_flow,
+    loads_by_edge,
     random_batch_system,
     random_feasible_flow,
     random_game,
@@ -22,7 +23,6 @@ from wardrop import (
     LatencyFunction,
     MechanismError,
     batch_social_cost,
-    edge_loads,
     mechanism_pipeline,
     social_cost,
     solve,
@@ -166,8 +166,8 @@ def test_criterion_6_per_edge_costs_unique(pigou, mono, twotype):
         for mode in ("original", "marginal"):
             first = solve(game, mode)
             second = solve(game, mode, initial_flow=last_strategy_flow(game))
-            totals_a = edge_loads(game, first.flow).total
-            totals_b = edge_loads(game, second.flow).total
+            totals_a = loads_by_edge(game, first.flow)
+            totals_b = loads_by_edge(game, second.flow)
             for e in game.edges:
                 cost_a = e.latency(totals_a[e.id]) * totals_a[e.id]
                 cost_b = e.latency(totals_b[e.id]) * totals_b[e.id]

@@ -10,15 +10,11 @@ from helpers import large_game, random_batch_system, random_feasible_flow, rando
 from wardrop import (
     BatchSystem,
     Edge,
-    EdgeLoads,
     Flow,
     Game,
     LatencyFunction,
     MechanismError,
     PlayerType,
-    batch_edge_cost,
-    batch_latency,
-    batch_schedule,
     batch_social_cost,
     batch_sweep,
     mechanism_pipeline,
@@ -34,8 +30,10 @@ OPTIMUM = Flow({("t1", 0): 0.5, ("t1", 1): 0.5})
 SELFISH = Flow({("t1", 0): 0.0, ("t1", 1): 1.0})
 
 
-def loads_of(totals):
-    return EdgeLoads(per_type={}, total=dict(totals))
+def edge_cost(game, flow, edge_id, n):
+    """Batch cost of one edge split into n batches, the others into one."""
+    system = BatchSystem({e.id: n if e.id == edge_id else 1 for e in game.edges})
+    return batch_social_cost(game, flow, system).per_edge[edge_id].batch_cost
 
 
 def test_batch_system_validation():
@@ -56,50 +54,54 @@ def test_batch_system_uniform(pigou):
 
 
 def test_batch_latency_values(pigou):
-    loads = loads_of({"e1": 0.5, "e2": 0.5})
-    # Marginal latency of e2 is 2x, sampled at b/N of the load.
-    assert batch_latency(pigou, loads, "e2", 1, 1) == 1.0
-    assert batch_latency(pigou, loads, "e2", 3, 10) == pytest.approx(0.3, rel=1e-12)
-    assert batch_latency(pigou, loads, "e1", 2, 5) == 1.0
-
-
-def test_batch_latency_rejects_bad_index(pigou):
-    loads = loads_of({"e1": 0.5, "e2": 0.5})
-    with pytest.raises(ValueError, match="batch index"):
-        batch_latency(pigou, loads, "e2", 0, 4)
-    with pytest.raises(ValueError, match="batch index"):
-        batch_latency(pigou, loads, "e2", 5, 4)
-    with pytest.raises(ValueError, match="unknown edge"):
-        batch_latency(pigou, loads, "e9", 1, 1)
+    # Batch b of N pays the marginal latency at b/N of the load: 2x on e2
+    # and the constant 1 on e1.
+    view = pigou._arrays
+    marginal = view.coeff_banks["marginal"]
+    x = np.array([0.5, 0.5])
+    assert view.edge_values(marginal, 1 / 1 * x)[1] == 1.0
+    assert view.edge_values(marginal, 3 / 10 * x)[1] == pytest.approx(0.3, rel=1e-12)
+    assert view.edge_values(marginal, 2 / 5 * x)[0] == 1.0
+    # One batch pays the full-load latency on all of the load.
+    report = batch_social_cost(pigou, OPTIMUM, BatchSystem.uniform(pigou, 1))
+    assert [row.batch_cost for row in report.per_edge.values()] == [0.5 * 1.0, 0.5 * 1.0]
 
 
 def test_batch_schedule_pigou(pigou):
-    schedule = batch_schedule(pigou, loads_of({"e1": 0.0, "e2": 0.5}), "e2", 2)
-    assert schedule == [(1, 0.5, 0.25), (2, 1.0, 0.25)]
+    # Two batches of 0.25 on e2 pay 2x at 0.25 and at 0.5 of the load.
+    cost = edge_cost(pigou, OPTIMUM, "e2", 2)
+    assert cost == pytest.approx(0.25 * 0.5 + 0.25 * 1.0, rel=1e-12)
+    assert riemann_check(pigou.edge("e2").latency.marginal(), 0.5, 2)[0] == pytest.approx(
+        cost, rel=1e-12
+    )
 
 
-def test_batch_schedule_masses_and_monotonicity(pigou):
-    schedule = batch_schedule(pigou, loads_of({"e1": 0.0, "e2": 0.7}), "e2", 6)
-    masses = [mass for _, _, mass in schedule]
-    prices = [price for _, price, _ in schedule]
-    assert sum(masses) == pytest.approx(0.7, rel=1e-12)
-    assert prices == sorted(prices)
+def test_batch_cost_nonincreasing_along_nested_counts():
+    # Splitting every batch in two never raises the right Riemann sum of
+    # a nondecreasing latency.
+    game = one_edge_game((0.0, 1.0), 0.7)
+    flow = Flow({("t", 0): 0.7})
+    rows = batch_sweep(game, flow, [2**k for k in range(21)])
+    costs = [cost for _, cost, _ in rows]
+    gaps = [gap for _, _, gap in rows]
+    assert costs == sorted(costs, reverse=True)
+    assert gaps == sorted(gaps, reverse=True) and gaps[-1] >= 0.0
+    report = batch_social_cost(game, flow, BatchSystem({"e": 6}))
+    assert report.per_edge["e"].load == pytest.approx(0.7, rel=1e-12)
 
 
 def test_batch_edge_cost_values(pigou, mono):
-    loads = loads_of({"e1": 0.0, "e2": 0.5})
-    assert batch_edge_cost(pigou, loads, "e2", 1) == 0.5
-    assert batch_edge_cost(pigou, loads, "e2", 10) == pytest.approx(0.275, rel=1e-12)
-    assert batch_edge_cost(mono, loads_of({"m1": 1.0}), "m1", 10) == pytest.approx(
+    assert edge_cost(pigou, OPTIMUM, "e2", 1) == 0.5
+    assert edge_cost(pigou, OPTIMUM, "e2", 10) == pytest.approx(0.275, rel=1e-12)
+    assert edge_cost(mono, Flow({("t1", 0): 1.0}), "m1", 10) == pytest.approx(
         1.155, rel=1e-12
     )
 
 
 def test_batch_edge_cost_closed_form(pigou):
     # Right Riemann sum of 2x over [0, 1/2] with N panels is 1/4 + 1/(4N).
-    loads = loads_of({"e1": 0.0, "e2": 0.5})
     for n in range(1, 65):
-        cost = batch_edge_cost(pigou, loads, "e2", n)
+        cost = edge_cost(pigou, OPTIMUM, "e2", n)
         assert cost == pytest.approx(0.25 + 0.25 / n, rel=1e-12)
 
 
@@ -121,7 +123,7 @@ def one_edge_game(coeffs, demand):
 def test_batch_edge_cost_matches_oracle_sum(coeffs, x, n):
     # The closed form against the oracle's explicit sum over all n batches.
     game = one_edge_game(coeffs, x)
-    cost = batch_edge_cost(game, loads_of({"e": x}), "e", n)
+    cost = edge_cost(game, Flow({("t", 0): x}), "e", n)
     reference = riemann_check(game.edge("e").latency.marginal(), x, n)[0]
     assert cost == pytest.approx(reference, rel=1e-12, abs=1e-15)
 
@@ -139,22 +141,24 @@ def test_batch_gap_nonnegative_and_falls_under_refinement(coeffs, x, n):
 
 def test_batch_pricing_at_huge_counts(pigou):
     n = 10**12
-    cost = batch_edge_cost(pigou, loads_of({"e1": 0.0, "e2": 0.5}), "e2", n)
-    # abs=0: approx's default absolute tolerance of 1e-12 would swamp both.
-    assert cost == pytest.approx(0.25 + 0.25 / n, rel=1e-15, abs=0.0)
     report = batch_social_cost(pigou, OPTIMUM, BatchSystem({"e1": 1, "e2": n}))
-    assert report.per_edge["e2"].batch_cost == cost
+    # abs=0: approx's default absolute tolerance of 1e-12 would swamp both.
+    assert report.per_edge["e2"].batch_cost == pytest.approx(0.25 + 0.25 / n, rel=1e-15, abs=0.0)
     assert report.per_edge["e2"].gap == pytest.approx(0.25 / n, rel=1e-12, abs=0.0)
     assert report.total_gap == report.per_edge["e1"].gap + report.per_edge["e2"].gap
+    uniform = batch_social_cost(pigou, OPTIMUM, BatchSystem.uniform(pigou, n))
+    assert uniform.per_edge["e2"] == report.per_edge["e2"]
+    assert batch_sweep(pigou, OPTIMUM, [n]) == [(n, uniform.total_batch_cost, uniform.total_gap)]
 
 
 def test_batch_edge_cost_rejects_bad_count(pigou):
-    loads = loads_of({"e1": 0.0, "e2": 0.5})
     with pytest.raises(ValueError, match=">= 1"):
-        batch_edge_cost(pigou, loads, "e2", 0)
+        batch_sweep(pigou, OPTIMUM, [0])
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match=f"batch count must be .* got {bad!r}"):
-            batch_edge_cost(pigou, loads, "e2", bad)
+            batch_sweep(pigou, OPTIMUM, [bad])
+        with pytest.raises(ValueError, match=f"batch count for 'e2' .* got {bad!r}"):
+            BatchSystem({"e1": 1, "e2": bad})
 
 
 def test_batch_social_cost_pigou_optimum(pigou):
@@ -179,6 +183,8 @@ def test_batch_social_cost_orders_edges(twotype):
 def test_batch_social_cost_rejects_incomplete_system(pigou):
     with pytest.raises(ValueError, match="incomplete batch system"):
         batch_social_cost(pigou, OPTIMUM, BatchSystem({"e1": 1}))
+    with pytest.raises(ValueError, match=r"unknown edges \['e9'\]"):
+        batch_social_cost(pigou, OPTIMUM, BatchSystem({"e1": 1, "e2": 1, "e9": 1}))
 
 
 def test_batch_social_cost_rejects_infeasible(pigou):

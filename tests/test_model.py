@@ -1,21 +1,34 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import random_feasible_flow, random_game
+import wardrop
+from helpers import loads_by_edge, random_feasible_flow, random_game, reference_is_feasible
 from wardrop import (
+    BatchSystem,
     Edge,
     Flow,
     Game,
     LatencyFunction,
     PlayerType,
-    edge_loads,
+    batch_social_cost,
+    batch_sweep,
     is_feasible,
     model,
     player_cost,
     potential,
+    select_batch_system,
     social_cost,
+    solve,
     validate_game,
+    verify_batch_equilibrium,
+    wardrop_gap,
 )
+from wardrop.model import FEASIBILITY_TOL
+from wardrop.oracle import exhaustive_batch_verify
 
 
 def pigou_variant(coeffs_e1=(1.0,), coeffs_e2=(0.0, 1.0), demand=1.0):
@@ -140,43 +153,43 @@ def test_duplicate_strategies_are_inert(pigou):
         ),
     )
     flow = Flow({("t1", 0): 0.25, ("t1", 1): 0.75})
-    assert edge_loads(doubled, flow).total == edge_loads(pigou, flow).total
+    assert loads_by_edge(doubled, flow) == loads_by_edge(pigou, flow)
     assert social_cost(doubled, flow) == social_cost(pigou, flow)
 
 
 def test_edge_loads_pigou(pigou):
-    loads = edge_loads(pigou, Flow({("t1", 0): 0.25, ("t1", 1): 0.75}))
-    assert loads.total == {"e1": 0.25, "e2": 0.75}
-    assert loads.per_type[("e1", "t1")] == 0.25
+    view = pigou._arrays
+    f = view.flow_vector(Flow({("t1", 0): 0.25, ("t1", 1): 0.75}))
+    assert view.loads(f).tolist() == [0.25, 0.75]
+    assert view.type_loads(f, "t1").tolist() == [0.25, 0.75]
 
 
 def test_edge_loads_shared_edge(twotype):
-    loads = edge_loads(twotype, Flow({("t1", 0): 0.5, ("t2", 0): 0.5}))
-    assert loads.total["e1"] == 1.0
-    assert loads.per_type[("e1", "t1")] == 0.5
-    assert loads.per_type[("e1", "t2")] == 0.5
-    assert loads.total["e2"] == 0.0
+    view = twotype._arrays
+    f = view.flow_vector(Flow({("t1", 0): 0.5, ("t2", 0): 0.5}))
+    assert view.loads(f).tolist() == [1.0, 0.0]
+    assert view.type_loads(f, "t1").tolist() == [0.5, 0.0]
+    assert view.type_loads(f, "t2").tolist() == [0.5, 0.0]
 
 
 def test_edge_loads_total_is_per_type_sum():
     rng = np.random.default_rng(11)
     for _ in range(20):
         game = random_game(rng)
-        flow = random_feasible_flow(game, rng)
-        loads = edge_loads(game, flow)
-        for e in game.edges:
-            parts = sum(loads.per_type[(e.id, t.id)] for t in game.player_types)
-            assert loads.total[e.id] == pytest.approx(parts, rel=1e-12, abs=1e-15)
+        view = game._arrays
+        f = view.flow_vector(random_feasible_flow(game, rng))
+        parts = sum(view.type_loads(f, t.id) for t in game.player_types)
+        assert view.loads(f) == pytest.approx(parts, rel=1e-12, abs=1e-15)
 
 
 def test_edge_loads_unknown_type(pigou):
     with pytest.raises(ValueError, match="unknown player type"):
-        edge_loads(pigou, Flow({("nope", 0): 1.0}))
+        pigou._arrays.flow_vector(Flow({("nope", 0): 1.0}))
 
 
 def test_edge_loads_bad_strategy_index(pigou):
     with pytest.raises(ValueError, match="out of range"):
-        edge_loads(pigou, Flow({("t1", 2): 1.0}))
+        pigou._arrays.flow_vector(Flow({("t1", 2): 1.0}))
 
 
 def test_edge_loads_invariant_under_strategy_permutation(pigou):
@@ -184,10 +197,10 @@ def test_edge_loads_invariant_under_strategy_permutation(pigou):
         edges=pigou.edges,
         player_types=(PlayerType("t1", 1.0, (frozenset({"e2"}), frozenset({"e1"}))),),
     )
-    loads = edge_loads(pigou, Flow({("t1", 0): 0.25, ("t1", 1): 0.75}))
-    swapped = edge_loads(reordered, Flow({("t1", 0): 0.75, ("t1", 1): 0.25}))
+    loads = loads_by_edge(pigou, Flow({("t1", 0): 0.25, ("t1", 1): 0.75}))
+    swapped = loads_by_edge(reordered, Flow({("t1", 0): 0.75, ("t1", 1): 0.25}))
     for edge_id in ("e1", "e2"):
-        assert loads.total[edge_id] == pytest.approx(swapped.total[edge_id], rel=1e-12)
+        assert loads[edge_id] == pytest.approx(swapped[edge_id], rel=1e-12)
 
 
 def test_is_feasible_accepts_exact_split(pigou):
@@ -210,6 +223,116 @@ def test_is_feasible_tolerance_is_absolute(pigou):
 
 def test_is_feasible_rejects_unknown_reference(pigou):
     assert not is_feasible(pigou, Flow({("t1", 0): 1.0, ("zz", 0): 0.0}))
+
+
+@pytest.mark.parametrize("index", [1.7, 1.0, True, "1", None])
+def test_flow_rejects_non_integer_strategy_index(index):
+    message = r"flow key \('t1', .*\): strategy index must be an integer"
+    with pytest.raises(ValueError, match=message):
+        Flow({("t1", index): 1.0})
+
+
+def test_flow_accepts_numpy_integer_index():
+    flow = Flow({("t1", np.int64(1)): 1.0})
+    assert flow.amounts == {("t1", 1): 1.0}
+    assert type(next(iter(flow.amounts))[1]) is int
+
+
+def feasibility_game(demand):
+    # Two loaded types around a zero-demand type and a strategyless one.
+    return Game(
+        edges=(Edge("e1", LatencyFunction((1.0,))), Edge("e2", LatencyFunction((0.0, 1.0)))),
+        player_types=(
+            PlayerType(
+                "a", demand, (frozenset({"e1"}), frozenset({"e2"}), frozenset({"e1", "e2"}))
+            ),
+            PlayerType("idle", 0.0, (frozenset({"e1"}), frozenset({"e2"}))),
+            PlayerType("none", 0.0, ()),
+            PlayerType("b", 0.3, (frozenset({"e2"}),)),
+        ),
+    )
+
+
+@st.composite
+def near_feasible_flows(draw):
+    """A game and a flow: each type's demand split over its strategies,
+    then perhaps nudged off demand, given a bad amount, given a key the
+    game lacks, cut short, and listed in any order."""
+    game = feasibility_game(draw(st.sampled_from([1.0, 2.5, 1e-12, 0.0])))
+    amounts = {}
+    for ptype in game.player_types:
+        n = len(ptype.strategies)
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        total = sum(weights)
+        for s, w in enumerate(weights):
+            amounts[(ptype.id, s)] = w / total * ptype.demand if total > 0 else 0.0
+        if n and total == 0:
+            amounts[(ptype.id, 0)] = ptype.demand
+    keys = sorted(amounts)
+    nudge = draw(st.sampled_from([0.0, 5e-10, -5e-10, 5e-9, -5e-9]))
+    amounts[draw(st.sampled_from(keys))] += nudge
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from([-0.0, -1e-300, -0.5, math.nan, math.inf, -math.inf]))
+        amounts[draw(st.sampled_from(keys))] = bad
+    if draw(st.booleans()):
+        stray = draw(st.sampled_from([("zz", 0), ("a", 3), ("a", -1), ("none", 0), ("b", 1)]))
+        amounts[stray] = draw(st.sampled_from([0.0, 0.5]))
+    if draw(st.booleans()):
+        del amounts[draw(st.sampled_from(keys))]
+    return game, Flow(dict(draw(st.permutations(list(amounts.items())))))
+
+
+@given(case=near_feasible_flows(), tol=st.sampled_from([FEASIBILITY_TOL, 1e-8, 0.0]))
+def test_is_feasible_matches_dict_loop(case, tol):
+    game, flow = case
+    assert is_feasible(game, flow) == reference_is_feasible(game, flow)
+    assert is_feasible(game, flow, tol) == reference_is_feasible(game, flow, tol)
+
+
+BAD_FLOWS = {
+    "negative": Flow({("t1", 0): -0.1, ("t1", 1): 1.1}),
+    "nan": Flow({("t1", 0): math.nan, ("t1", 1): 1.0}),
+    "inf": Flow({("t1", 0): math.inf}),
+    "-inf": Flow({("t1", 0): -math.inf, ("t1", 1): 1.0}),
+    "short": Flow({("t1", 0): 0.5}),
+    "over": Flow({("t1", 0): 0.5, ("t1", 1): 0.5 + 5e-9}),
+    "unknown type": Flow({("t1", 0): 1.0, ("zz", 0): 0.0}),
+    "index out of range": Flow({("t1", 0): 1.0, ("t1", 2): 0.0}),
+    "negative index": Flow({("t1", 0): 1.0, ("t1", -1): 0.0}),
+}
+
+FLOW_CALLERS = {
+    "social_cost": (social_cost, "infeasible flow"),
+    "player_cost": (lambda g, f: player_cost(g, f, "t1"), "infeasible flow"),
+    "wardrop_gap": (lambda g, f: wardrop_gap(g, f, "original"), "infeasible flow"),
+    "solve": (lambda g, f: solve(g, "marginal", initial_flow=f), "initial flow is infeasible"),
+    "batch_social_cost": (
+        lambda g, f: batch_social_cost(g, f, BatchSystem.uniform(g, 2)), "infeasible flow"
+    ),
+    "batch_sweep": (lambda g, f: batch_sweep(g, f, [1, 2]), "infeasible flow"),
+    "select_batch_system": (lambda g, f: select_batch_system(g, f, 0.01), "infeasible flow"),
+    "verify_batch_equilibrium": (
+        lambda g, f: verify_batch_equilibrium(g, f, BatchSystem.uniform(g, 1)), "infeasible flow"
+    ),
+    "exhaustive_batch_verify": (
+        lambda g, f: exhaustive_batch_verify(g, f, BatchSystem.uniform(g, 1)), "infeasible flow"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_FLOWS))
+@pytest.mark.parametrize("caller", sorted(FLOW_CALLERS))
+def test_callers_reject_infeasible_flows(pigou, caller, kind):
+    call, message = FLOW_CALLERS[caller]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(pigou, BAD_FLOWS[kind])
+
+
+def test_public_names_resolve():
+    assert [name for name in wardrop.__all__ if not hasattr(wardrop, name)] == []
+    namespace: dict = {}
+    exec("from wardrop import *", namespace)
+    assert set(wardrop.__all__) <= set(namespace)
 
 
 def test_social_cost_pigou(pigou):
@@ -248,7 +371,7 @@ def test_player_costs_sum_to_social_cost():
 
 
 def test_evaluators_match_independent_polynomial_path():
-    # social_cost, potential and edge_loads share the game's vector view;
+    # social_cost, potential and the view's loads share one vector view;
     # rebuild each from a local incidence and numpy's polynomial routines.
     rng = np.random.default_rng(13)
     for _ in range(40):
@@ -264,7 +387,7 @@ def test_evaluators_match_independent_polynomial_path():
         latencies = [np.array(e.latency.coeffs[::-1]) for e in game.edges]
         marginals = [np.polyadd(p, np.polymul(np.polyder(p), [1.0, 0.0])) for p in latencies]
 
-        assert list(edge_loads(game, flow).total.values()) == pytest.approx(
+        assert list(loads_by_edge(game, flow).values()) == pytest.approx(
             list(loads), rel=1e-12
         )
         cost = sum(np.polyval(p, x) * x for p, x in zip(latencies, loads))

@@ -9,8 +9,7 @@ from wardrop import (
     Game,
     LatencyFunction,
     PlayerType,
-    batch_edge_cost,
-    edge_loads,
+    batch_social_cost,
     social_cost,
     solve,
     verify_batch_equilibrium,
@@ -98,17 +97,15 @@ def test_riemann_check_agrees_with_batch_edge_cost(pigou, mono):
         (pigou, Flow({("t1", 0): 0.25, ("t1", 1): 0.75})),
         (mono, Flow({("t1", 0): 1.0})),
     ]:
-        loads = edge_loads(game, flow)
-        for edge in game.edges:
-            for count in (1, 3, 10, 64):
-                right_sum, integral, gap = riemann_check(
-                    edge.latency.marginal(), loads.total[edge.id], count
-                )
-                cost = batch_edge_cost(game, loads, edge.id, count)
-                base = edge.latency(loads.total[edge.id]) * loads.total[edge.id]
-                assert cost == pytest.approx(right_sum, rel=1e-12, abs=1e-15)
+        for count in (1, 3, 10, 64):
+            report = batch_social_cost(game, flow, BatchSystem.uniform(game, count))
+            for edge in game.edges:
+                row = report.per_edge[edge.id]
+                right_sum, integral, gap = riemann_check(edge.latency.marginal(), row.load, count)
+                base = edge.latency(row.load) * row.load
+                assert row.batch_cost == pytest.approx(right_sum, rel=1e-12, abs=1e-15)
                 assert integral == pytest.approx(base, rel=1e-12, abs=1e-15)
-                assert cost - base == pytest.approx(gap, rel=1e-9, abs=1e-12)
+                assert row.batch_cost - base == pytest.approx(gap, rel=1e-9, abs=1e-12)
 
 
 def test_grid_search_pigou_original(pigou):

@@ -11,6 +11,7 @@ from helpers import (
     hard_game,
     large_game,
     last_strategy_flow,
+    loads_by_edge,
     random_feasible_flow,
     random_game,
 )
@@ -23,7 +24,6 @@ from wardrop import (
     LatencyFunction,
     PlayerType,
     SolverParams,
-    edge_loads,
     player_cost,
     potential,
     price_of_anarchy,
@@ -433,9 +433,9 @@ def test_solve_cost_agreement_across_initializations(pigou, mono, twotype):
         for mode in ("original", "marginal"):
             first = solve(game, mode)
             second = solve(game, mode, initial_flow=last_strategy_flow(game))
-            loads_a = edge_loads(game, first.flow)
-            loads_b = edge_loads(game, second.flow)
+            loads_a = loads_by_edge(game, first.flow)
+            loads_b = loads_by_edge(game, second.flow)
             for e in game.edges:
-                cost_a = e.latency(loads_a.total[e.id]) * loads_a.total[e.id]
-                cost_b = e.latency(loads_b.total[e.id]) * loads_b.total[e.id]
+                cost_a = e.latency(loads_a[e.id]) * loads_a[e.id]
+                cost_b = e.latency(loads_b[e.id]) * loads_b[e.id]
                 assert abs(cost_a - cost_b) <= 1e-6
