@@ -154,8 +154,12 @@ def load_game(path: str | Path) -> Game:
     return game
 
 
+def _write_json(document: dict[str, Any], path: str | Path) -> None:
+    Path(path).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+
+
 def save_game(game: Game, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(game_to_dict(game), indent=2) + "\n", encoding="utf-8")
+    _write_json(game_to_dict(game), path)
 
 
 def load_flow(path: str | Path, game: Game) -> Flow:
@@ -205,7 +209,7 @@ def flow_to_dict(flow: Flow) -> dict[str, Any]:
 
 
 def save_flow(flow: Flow, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(flow_to_dict(flow), indent=2) + "\n", encoding="utf-8")
+    _write_json(flow_to_dict(flow), path)
 
 
 def save_solve_result(result: SolveResult, path: str | Path) -> None:
@@ -216,7 +220,7 @@ def save_solve_result(result: SolveResult, path: str | Path) -> None:
         "relative_gap": result.relative_gap,
         "social_cost_original": result.social_cost_original,
     }
-    Path(path).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    _write_json(document, path)
 
 
 def batch_report_to_dict(report: BatchReport) -> dict[str, Any]:
@@ -238,9 +242,7 @@ def batch_report_to_dict(report: BatchReport) -> dict[str, Any]:
 
 
 def save_batch_report_json(report: BatchReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(batch_report_to_dict(report), indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(batch_report_to_dict(report), path)
 
 
 def write_batch_report_csv(report: BatchReport, out: IO[str]) -> None:

@@ -15,7 +15,8 @@ All structural invariants are checked by validate_game, which returns a
 report instead of raising so a bad input can be diagnosed in full; the
 report is computed once per Game and kept with it. The operations below
 raise ValueError only for genuine contract violations (unknown ids,
-infeasible flows).
+infeasible flows), or GameValidationError, with the game's report, when
+a strategy names an edge the game lacks, so that no vector view exists.
 """
 
 from __future__ import annotations
@@ -98,7 +99,11 @@ class Game:
 
     @cached_property
     def _arrays(self) -> _GameArrays:
-        return _GameArrays(self)
+        try:
+            return _GameArrays(self)
+        except KeyError:
+            # A strategy names an edge the game lacks.
+            raise GameValidationError(validate_game(self)) from None
 
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
@@ -353,6 +358,24 @@ class _GameArrays:
 
     def potential(self, x: np.ndarray, mode: str) -> float:
         return float(x @ self.edge_values(self.integral_banks[mode], x))
+
+    def potential_change(self, x: np.ndarray, dx: np.ndarray, mode: str) -> float:
+        """The potential at loads x + dx minus that at x, as
+        sum_e dx_e * P_e[x_e, x_e + dx_e], with P_e[a, b] the divided
+        difference of edge e's integral polynomial P_e.
+
+        Horner's sweep of P_e at a leaves, as its partial sums, the
+        coefficients of the quotient of P_e by (y - a), and the quotient
+        at b is P_e[a, b]. At nonnegative loads both sweeps add
+        nonnegative parts, so no term cancels, however small dx is.
+        """
+        bank = self.integral_banks[mode]
+        quotient = np.empty_like(bank)
+        acc = np.zeros(len(x))
+        for j in range(bank.shape[1] - 1, -1, -1):
+            acc = acc * x + bank[:, j]
+            quotient[:, j] = acc
+        return float(dx @ self.edge_values(quotient, x + dx))
 
     def excess(self, costs: np.ndarray) -> np.ndarray:
         """Each strategy's cost minus the cheapest cost of its type."""

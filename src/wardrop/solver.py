@@ -3,24 +3,31 @@
 Equilibria are minimizers of the convex edge-integral potential over the
 product of per-type demand simplices. The solver takes projected Newton
 steps on the strategy flows, after Bertsekas and Gafni (1983), with
-player types as commodities and strategies as paths:
+player types as commodities and strategies as paths, along Bertsekas's
+projection arc (1982):
 
 - In each type with a choice, the strategy with the most mass is basic
   and absorbs the type's change. The other strategies that carry mass
   or cost less than the basic one are free.
-- The step solves the reduced Newton system H d = -g over the free
-  strategies: g is their cost minus their basic strategy's cost, and
-  H = D diag(l') D^T is the Hessian of the potential along the edge-set
-  differences D, with l' the derivative of the mode latency at the
-  current loads. When H is not positive definite, its eigenvalues are
-  floored at a small fraction of the largest.
-- A free strategy without mass whose Newton component is negative
-  cannot move; it is dropped and the system solved again.
-- A ratio test caps the step where a strategy runs out of mass; a
-  strategy that blocks the step lands exactly on zero.
-- The step length on [0, cap] is the zero of the nondecreasing slope
-  alpha -> sum_e l_e(x_e + alpha dx_e) dx_e of the potential along the
-  step, found by Newton's method kept inside a bracket.
+- A free strategy that costs more than its basic one and carries less
+  mass than the diagonal of the Newton model would move off it is
+  eps-active: its direction is minus its mass, so the full step empties
+  it.
+- The other free strategies take the direction d that solves the
+  reduced Newton system H d = -g: g is their cost minus their basic
+  strategy's cost, and H = D diag(l') D^T is the Hessian of the
+  potential along the edge-set differences D, with l' the derivative of
+  the mode latency at the current loads. When H is not positive
+  definite, its eigenvalues are floored at a small fraction of the
+  largest.
+- The arc sets each free strategy to max(0, f + alpha d), and the basic
+  strategies absorb the change; an alpha that drives a basic strategy
+  below zero is rejected. The step takes the first of alpha = 1, 1/2,
+  1/4, ... at which the potential falls by at least ARMIJO times the
+  fall alpha g.d that the model predicts. The fall is summed edge by
+  edge from divided differences (_GameArrays.potential_change), because
+  near the optimum the difference of two potentials is lost to rounding.
+  Once alpha is so small that the step moves no mass, the flow stays.
 
 Every step is a descent step, so the potential decreases monotonically.
 The loop stops on the relative gap sum f * (cost - cheapest cost of its
@@ -69,8 +76,9 @@ EPS_USE = 1e-9
 # raised to this fraction of the largest one.
 EIGEN_FLOOR = 1e-10
 
-# Budget of slope evaluations in one line search.
-MAX_LINE_STEPS = 60
+# An arc step is taken once the potential falls by at least this share of
+# the decrease that the step's first-order model predicts (Armijo's rule).
+ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -144,13 +152,13 @@ def _free(
     return np.flatnonzero(free), base[free]
 
 
-def _newton_direction(hessian: np.ndarray, g: np.ndarray, reach: float) -> np.ndarray:
+def _newton_direction(hessian: np.ndarray, g: np.ndarray, reach: np.ndarray) -> np.ndarray:
     """A descent direction d for the model g.d + d.H.d / 2: the Newton
     direction -H^-1 g when H is positive definite, else the same with
     the eigenvalues of H floored at EIGEN_FLOOR times the largest.
 
     If H vanishes, the model is linear, and the direction is -g scaled
-    so that its largest component has size reach.
+    so that its largest component has the size of its entry of reach.
     """
     try:
         np.linalg.cholesky(hessian)  # raises unless H is positive definite
@@ -169,90 +177,43 @@ def _newton_direction(hessian: np.ndarray, g: np.ndarray, reach: float) -> np.nd
     return -vectors @ ((vectors.T @ g) / values)
 
 
-def _step_length(
-    arrays: _GameArrays, mode: str, x: np.ndarray, dx: np.ndarray, cap: float
-) -> float:
-    """Minimize the potential along loads x + alpha * dx over [0, cap].
-
-    The slope alpha -> sum_e l_e(x_e + alpha dx_e) dx_e is nondecreasing
-    (convex potential), so its zero is found by Newton's method, falling
-    back to bisection whenever a Newton step leaves the bracket. Returns
-    0 when the slope at 0 is already nonnegative and cap when it is
-    still nonpositive at cap.
-    """
-    moved = np.flatnonzero(dx)
-    bank = arrays.coeff_banks[mode][moved]
-    derivative = arrays.derivative_banks[mode][moved]
-    x, dx = x[moved], dx[moved]
-    dx2 = dx * dx
-
-    def slope(alpha: float) -> float:
-        return float(arrays.edge_values(bank, x + alpha * dx) @ dx)
-
-    def curvature(alpha: float) -> float:
-        return float(arrays.edge_values(derivative, x + alpha * dx) @ dx2)
-
-    s = slope(0.0)
-    if s >= 0.0:
-        return 0.0
-    if slope(cap) <= 0.0:
-        return cap
-    lo, hi, alpha = 0.0, cap, 0.0
-    for _ in range(MAX_LINE_STEPS):
-        # Newton's step from alpha, or bisection if it leaves (lo, hi).
-        ds = curvature(alpha)
-        step = alpha - s / ds if ds > 0.0 else hi
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        if abs(step - alpha) <= 1e-15 * hi:
-            return step
-        alpha = step
-        s = slope(alpha)
-        if s == 0.0:
-            break
-        if s < 0.0:
-            lo = alpha
-        else:
-            hi = alpha
-    return alpha
-
-
 def _newton_step(
     arrays: _GameArrays, f: np.ndarray, x: np.ndarray, costs: np.ndarray, mode: str
 ) -> np.ndarray:
-    """One projected Newton step from the flow vector f, whose loads are
-    x and whose strategy costs in the mode are costs."""
+    """One projected Newton step along the projection arc from the flow
+    vector f, whose loads are x and whose strategy costs in the mode are
+    costs."""
     rows, base = _free(arrays, f, costs)
-    if not rows.size:
-        return f
-    diff = arrays.incidence[rows] - arrays.incidence[base]
+    mass = f[rows]
     g = costs[rows] - costs[base]
-    hessian = (diff * arrays.edge_values(arrays.derivative_banks[mode], x)) @ diff.T
-    reach = float(f.sum())
-    d = _newton_direction(hessian, g, reach)
-    # A free row without mass cannot shrink: drop it and solve again.
-    stuck = (f[rows] <= 0.0) & (d < 0.0)
-    while stuck.any():
-        keep = ~stuck
-        if not keep.any():
-            return f
-        rows, base, diff, g = rows[keep], base[keep], diff[keep], g[keep]
-        hessian = hessian[np.ix_(keep, keep)]
-        d = _newton_direction(hessian, g, reach)
-        stuck = (f[rows] <= 0.0) & (d < 0.0)
-    df = np.zeros_like(f)
-    df[rows] = d
-    df -= np.bincount(base, weights=d, minlength=len(f))
-    shrinking = np.flatnonzero(df < 0.0)
-    ratios = f[shrinking] / -df[shrinking]
-    cap = min(1.0, float(ratios.min())) if ratios.size else 1.0
-    alpha = _step_length(arrays, mode, x, d @ diff, cap)
-    if alpha == 0.0:
+    diff = arrays.incidence[rows] - arrays.incidence[base]
+    curved = diff * arrays.edge_values(arrays.derivative_banks[mode], x)
+    # The eps-active rows cost more than their basic row and carry less
+    # mass than the diagonal of the Newton model would move off them.
+    # They leave the Newton system, and the full step empties them.
+    active = (g > 0.0) & (mass * (curved * diff).sum(axis=1) <= g)
+    d = -mass
+    newton = ~active
+    if newton.any():
+        hessian = curved[newton] @ diff[newton].T
+        d[newton] = _newton_direction(hessian, g[newton], f[base[newton]])
+    descent = float(g @ d)
+    if not -math.inf < descent < 0.0:  # no descent, or d is not finite
         return f
-    stepped = f + alpha * df
-    if alpha == cap:
-        stepped[shrinking[ratios <= cap]] = 0.0
-    return np.maximum(stepped, 0.0)
+    alpha = 1.0
+    while True:
+        change = np.maximum(alpha * d, -mass)
+        step = np.zeros_like(f)
+        step[rows] = change
+        step -= np.bincount(base, weights=change, minlength=len(f))
+        stepped = f + step
+        if not (stepped != f)[f > 0.0].any():
+            return f  # the step no longer moves any mass: it is below rounding
+        if stepped.min() >= 0.0 and (
+            arrays.potential_change(x, arrays.loads(step), mode) <= ARMIJO * alpha * descent
+        ):
+            return stepped
+        alpha *= 0.5
 
 
 def potential(game: Game, flow: Flow, mode: str) -> float:

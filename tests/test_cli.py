@@ -117,6 +117,27 @@ def test_sweep_matches_golden_output(capsys):
     assert capsys.readouterr().out == expected
 
 
+# Each command's stdout on each fixture, iteration counts included, is
+# checked in as tests/data/stdout/<fixture>.<name>.txt.
+GOLDEN_COMMANDS = {
+    "solve": ["solve"],
+    "solve-marginal": ["solve", "--mode", "marginal"],
+    "optimum": ["optimum"],
+    "poa": ["poa"],
+    "batch-0.01": ["batch", "--epsilon", "0.01"],
+    "batch-0.001": ["batch", "--epsilon", "0.001"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_COMMANDS)
+@pytest.mark.parametrize("fixture", ["pigou", "mono", "twotype"])
+def test_fixture_stdout_matches_golden_file(capsys, fixture, name):
+    command, *options = GOLDEN_COMMANDS[name]
+    golden = ROOT / "tests" / "data" / "stdout" / f"{fixture}.{name}.txt"
+    assert cli.run([command, str(FIXTURES / f"{fixture}.json"), *options]) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 def test_sweep_progressions(capsys):
     # Geometric when the second value is a multiple >= 2 of the first,
     # arithmetic otherwise.

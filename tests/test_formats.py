@@ -293,6 +293,17 @@ def test_flow_round_trip(tmp_path):
         assert load_flow(path, game).amounts == flow.amounts
 
 
+def test_saved_json_layout(tmp_path):
+    # Every JSON file is written the same way: two-space indent, repr
+    # floats, one trailing newline.
+    path = tmp_path / "flow.json"
+    save_flow(Flow({("t1", 0): 0.1}), path)
+    assert path.read_bytes() == (
+        b'{\n  "amounts": [\n    {\n      "type": "t1",\n      "strategy": 0,\n'
+        b'      "x": 0.1\n    }\n  ]\n}\n'
+    )
+
+
 def test_flow_to_dict_sorted():
     payload = flow_to_dict(Flow({("t1", 1): 0.75, ("t1", 0): 0.25}))
     assert payload["amounts"] == [

@@ -78,14 +78,38 @@ def test_validate_degree_cap():
     assert any("exceeds maximum 16" in v.message for v in validate_game(over))
 
 
-def test_validate_unknown_edge():
-    game = Game(
+def unknown_edge_game():
+    """One type whose only strategy runs over the missing edge e9."""
+    return Game(
         edges=(Edge("e1", LatencyFunction((1.0,))),),
         player_types=(PlayerType("t1", 1.0, (frozenset({"e9"}),)),),
     )
-    report = validate_game(game)
+
+
+def test_validate_unknown_edge():
+    report = validate_game(unknown_edge_game())
     assert any("unknown edge id 'e9'" in v.message for v in report)
     assert any(v.path == "player_types[0].strategies[0]" for v in report)
+
+
+UNKNOWN_EDGE_CALLERS = {
+    "social_cost": social_cost,
+    "wardrop_gap": lambda g, f: wardrop_gap(g, f, "original"),
+    "potential": lambda g, f: potential(g, f, "original"),
+    "player_cost": lambda g, f: player_cost(g, f, "t1"),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(UNKNOWN_EDGE_CALLERS))
+def test_evaluators_reject_a_strategy_on_an_unknown_edge(caller):
+    # No vector view can be built, so the evaluator reports the game's
+    # defect rather than a bare KeyError.
+    with pytest.raises(model.GameValidationError, match=r"player_types\[0\]\.strategies\[0\]"):
+        UNKNOWN_EDGE_CALLERS[caller](unknown_edge_game(), Flow({("t1", 0): 1.0}))
+
+
+def test_is_feasible_is_false_on_a_strategy_on_an_unknown_edge():
+    assert not is_feasible(unknown_edge_game(), Flow({("t1", 0): 1.0}))
 
 
 def test_validate_duplicate_edge_ids():
@@ -395,6 +419,36 @@ def test_evaluators_match_independent_polynomial_path():
         for mode, polys in (("original", latencies), ("marginal", marginals)):
             integral = sum(np.polyval(np.polyint(p), x) for p, x in zip(polys, loads))
             assert potential(game, flow, mode) == pytest.approx(integral, rel=1e-12)
+
+
+def test_potential_change_matches_polynomial_difference():
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        game = random_game(rng)
+        view = game._arrays
+        x = rng.uniform(0.0, 2.0, len(game.edges))
+        dx = rng.uniform(0.0, 2.0, len(game.edges)) - x
+        latencies = [np.array(e.latency.coeffs[::-1]) for e in game.edges]
+        marginals = [np.polyadd(p, np.polymul(np.polyder(p), [1.0, 0.0])) for p in latencies]
+        for mode, polys in (("original", latencies), ("marginal", marginals)):
+            integrals = [np.polyint(p) for p in polys]
+            exact = sum(
+                np.polyval(p, a + d) - np.polyval(p, a) for p, a, d in zip(integrals, x, dx)
+            )
+            change = view.potential_change(x, dx, mode)
+            assert change == pytest.approx(exact, rel=1e-12, abs=1e-12)
+            assert view.potential_change(x, np.zeros_like(x), mode) == 0.0
+
+
+def test_potential_change_keeps_the_sign_below_rounding(pigou):
+    # Moving 1e-20 from the constant road to the linear one at loads 1/2
+    # changes the potential by -1e-20 + 1e-20 / 2, far below the rounding
+    # of the potential itself.
+    view = pigou._arrays
+    x = np.array([0.5, 0.5])
+    dx = np.array([-1e-20, 1e-20])
+    assert view.potential(x + dx, "original") - view.potential(x, "original") == 0.0
+    assert view.potential_change(x, dx, "original") == pytest.approx(-5e-21, rel=1e-12)
 
 
 def test_validate_game_checks_once_and_returns_a_new_list(monkeypatch):

@@ -51,6 +51,16 @@ def best_response_flow(game, flow, mode):
     return view.to_flow(view.all_or_nothing(view.strategy_costs(view_loads(game, flow), mode)))
 
 
+def assert_same_edge_costs(game, first, second):
+    """Edge costs are unique at an equilibrium, whatever the start."""
+    loads_a = loads_by_edge(game, first.flow)
+    loads_b = loads_by_edge(game, second.flow)
+    for e in game.edges:
+        cost_a = e.latency(loads_a[e.id]) * loads_a[e.id]
+        cost_b = e.latency(loads_b[e.id]) * loads_b[e.id]
+        assert abs(cost_a - cost_b) <= 1e-6
+
+
 def newton_step(game, flow, mode):
     """One projected Newton step of the solver from `flow`."""
     view = game._arrays
@@ -254,6 +264,90 @@ def test_solve_linear_game_from_split_flow():
     assert result.flow.amount("t", 1) == pytest.approx(1.2, rel=1e-15)
 
 
+def test_one_step_empties_several_strategies():
+    # From 0.8 on the linear road and 0.15 and 0.05 on two constant roads
+    # of cost 5, one step drains both constant roads onto the linear one.
+    game = Game(
+        edges=(
+            Edge("x", LatencyFunction((0.0, 1.0))),
+            Edge("c1", LatencyFunction((5.0,))),
+            Edge("c2", LatencyFunction((5.0,))),
+        ),
+        player_types=(
+            PlayerType("t", 1.0, (frozenset({"x"}), frozenset({"c1"}), frozenset({"c2"}))),
+        ),
+    )
+    start = Flow({("t", 0): 0.8, ("t", 1): 0.15, ("t", 2): 0.05})
+    stepped = newton_step(game, start, "original")
+    assert stepped.amount("t", 1) == 0.0
+    assert stepped.amount("t", 2) == 0.0
+    assert stepped.amount("t", 0) == pytest.approx(1.0, rel=1e-15)
+    assert potential(game, stepped, "original") < potential(game, start, "original")
+
+
+def test_step_empties_an_eps_active_strategy_outside_the_newton_system():
+    # Strategy 2 costs 5 against its basic's 0.6 and holds only 0.01, so
+    # the step empties it and solves the Newton system of strategy 1
+    # alone: 0.21 of cost gap over curvature 2 moves 0.105 onto it. Left
+    # in the system, strategy 2's Newton component (-9.01) would bend the
+    # whole step.
+    game = Game(
+        edges=(
+            Edge("a", LatencyFunction((0.0, 1.0))),
+            Edge("b", LatencyFunction((0.0, 1.0))),
+            Edge("c", LatencyFunction((5.0,))),
+        ),
+        player_types=(
+            PlayerType("t", 1.0, (frozenset({"a"}), frozenset({"b"}), frozenset({"c"}))),
+        ),
+    )
+    start = Flow({("t", 0): 0.6, ("t", 1): 0.39, ("t", 2): 0.01})
+    stepped = newton_step(game, start, "original")
+    assert stepped.amount("t", 2) == 0.0
+    assert stepped.amount("t", 1) == pytest.approx(0.495, rel=1e-12)
+    assert stepped.amount("t", 0) == pytest.approx(0.505, rel=1e-12)
+
+
+def even_split_flow(game):
+    return Flow({
+        (t.id, s): t.demand / len(t.strategies)
+        for t in game.player_types
+        for s in range(len(t.strategies))
+    })
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_even_split_start_takes_few_more_steps(mode):
+    # The arc drops every strategy the step drives negative at once, so
+    # an interior start is not much slower than the all-or-nothing one.
+    game = large_game(1, 100, 20, 10)
+    cold = solve(game, mode)
+    split = solve(game, mode, initial_flow=even_split_flow(game))
+    assert split.iterations <= 3 * cold.iterations
+    assert split.social_cost_original == pytest.approx(cold.social_cost_original, rel=1e-6)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_solve_from_random_interior_flow_reaches_the_same_costs(seed):
+    rng = np.random.default_rng(seed)
+    game = random_game(rng)
+    start = random_feasible_flow(game, rng)
+    for mode in MODES:
+        assert_same_edge_costs(game, solve(game, mode), solve(game, mode, initial_flow=start))
+
+
+@pytest.mark.parametrize("name", ["gen_mid_seed41_game01", "gen_mid_seed41_game11"])
+@pytest.mark.parametrize("mode", MODES)
+def test_generated_game_converges_to_tight_tolerance(name, mode):
+    # Near the optimum the potential falls by less than its own rounding;
+    # the step's Armijo test still reads the fall, so the solve reaches
+    # 1e-12 instead of stalling.
+    game = load_game(DATA / f"{name}.json")
+    result = solve(game, mode, SolverParams(relative_gap_tol=1e-12, max_iterations=100))
+    assert result.relative_gap <= 1e-12
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_solve_singular_reduced_hessian(mode):
     # The constant edges e1 and e3 make the reduced Hessian singular.
@@ -433,9 +527,4 @@ def test_solve_cost_agreement_across_initializations(pigou, mono, twotype):
         for mode in ("original", "marginal"):
             first = solve(game, mode)
             second = solve(game, mode, initial_flow=last_strategy_flow(game))
-            loads_a = loads_by_edge(game, first.flow)
-            loads_b = loads_by_edge(game, second.flow)
-            for e in game.edges:
-                cost_a = e.latency(loads_a[e.id]) * loads_a[e.id]
-                cost_b = e.latency(loads_b[e.id]) * loads_b[e.id]
-                assert abs(cost_a - cost_b) <= 1e-6
+            assert_same_edge_costs(game, first, second)
