@@ -26,8 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import FEASIBILITY_TOL, Flow, Game, _GameArrays
-from .solver import EPS_USE, SolverParams, SolveResult, solve, wardrop_gap
+from .model import EPS_USE, VERIFY_TOL, Flow, Game, _GameArrays
+from .solver import SolverParams, SolveResult, solve, wardrop_gap
 
 #: Coefficients (counts x edges x polynomial width) that batch_sweep
 #: prices in one array pass; 2**20 float64 values are 8 MB per array.
@@ -171,12 +171,10 @@ def _price(
     )
 
 
-def batch_social_cost(
-    game: Game, flow: Flow, batch_system: BatchSystem, tol: float = FEASIBILITY_TOL
-) -> BatchReport:
+def batch_social_cost(game: Game, flow: Flow, batch_system: BatchSystem) -> BatchReport:
     """Batch-price an entire feasible flow, edge by edge."""
     view = game._arrays
-    x = view.loads(view.feasible_vector(flow, tol))
+    x = view.loads(view.feasible_vector(flow))
     _check_cover(game, batch_system)
     counts = [batch_system.counts[edge_id] for edge_id in game.edge_ids]
     costs, gaps = _price(view, x, [counts])
@@ -227,15 +225,13 @@ def batch_sweep(
     return [(n, *totals[n]) for n in counts]
 
 
-def select_batch_system(
-    game: Game, flow: Flow, epsilon: float, eps_use: float = EPS_USE
-) -> BatchSystem:
+def select_batch_system(game: Game, flow: Flow, epsilon: float) -> BatchSystem:
     """Smallest batch counts whose Riemann error bound meets epsilon.
 
     The per-edge overshoot is at most (x_e / N_e) * (lhat(x_e) - lhat(0)),
     so splitting epsilon evenly over the m loaded edges and solving for
-    N_e gives ceil(x_e * (lhat(x_e) - lhat(0)) * m / epsilon). Unloaded
-    edges get N_e = 1.
+    N_e gives ceil(x_e * (lhat(x_e) - lhat(0)) * m / epsilon). Edges
+    loaded with at most EPS_USE get N_e = 1.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -243,7 +239,7 @@ def select_batch_system(
     x = view.loads(view.feasible_vector(flow))
     marginal = view.coeff_banks["marginal"]
     span = view.edge_values(marginal, x) - marginal[:, 0]
-    loaded = x > eps_use
+    loaded = x > EPS_USE
     budget = epsilon / max(1, int(np.count_nonzero(loaded)))
     # A tiny epsilon can overflow a count to inf; that is reported below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -259,11 +255,7 @@ def select_batch_system(
 
 
 def verify_batch_equilibrium(
-    game: Game,
-    flow: Flow,
-    batch_system: BatchSystem,
-    tol: float = 1e-6,
-    eps_use: float = EPS_USE,
+    game: Game, flow: Flow, batch_system: BatchSystem, tol: float = VERIFY_TOL
 ) -> BatchEquilibrium:
     """Check the batch equilibrium condition at its worst case.
 
@@ -274,17 +266,13 @@ def verify_batch_equilibrium(
     violation is the marginal-mode Wardrop gap, read from the same
     vector view as every other equilibrium check.
     """
-    worst = wardrop_gap(game, flow, "marginal", eps_use)
+    worst = wardrop_gap(game, flow, "marginal")
     _check_cover(game, batch_system)
     return BatchEquilibrium(is_equilibrium=worst <= tol, max_violation=worst)
 
 
 def mechanism_pipeline(
-    game: Game,
-    epsilon: float,
-    params: SolverParams | None = None,
-    *,
-    verify_tol: float = 1e-6,
+    game: Game, epsilon: float, params: SolverParams | None = None
 ) -> MechanismReport:
     """Solve for the social optimum, pick batch counts for epsilon, price
     the flow, and verify both guarantees.
@@ -296,7 +284,7 @@ def mechanism_pipeline(
     optimum = solve(game, "marginal", params)
     batch_system = select_batch_system(game, optimum.flow, epsilon)
     report = batch_social_cost(game, optimum.flow, batch_system)
-    check = verify_batch_equilibrium(game, optimum.flow, batch_system, verify_tol)
+    check = verify_batch_equilibrium(game, optimum.flow, batch_system)
     if not check.is_equilibrium:
         raise MechanismError(
             f"solved optimum is not a batch equilibrium (violation {check.max_violation:.3e})"

@@ -24,7 +24,7 @@ from .batch import (
     mechanism_pipeline,
     verify_batch_equilibrium,
 )
-from .model import GameValidationError, social_cost
+from .model import VERIFY_TOL, GameValidationError, social_cost
 from .solver import ConvergenceError, SolverParams, potential, solve, wardrop_gap
 
 
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("flow")
     p_verify.add_argument("--mode", choices=("wardrop", "marginal", "batch"),
                           default="wardrop")
-    p_verify.add_argument("--tol", type=_positive_float, default=1e-6)
+    p_verify.add_argument("--tol", type=_positive_float, default=VERIFY_TOL)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="brute-force equilibrium by grid search")

@@ -1,6 +1,6 @@
 """Game and flow files, plus report emission.
 
-Games and flows travel as JSON; batch reports as CSV or JSON. File
+Games and flows travel as JSON; batch reports as CSV. File
 floats are written with repr precision so every value parses back to the
 exact float that was written; fixed 6-decimal formatting is display-only
 and lives in the CLI.
@@ -13,7 +13,7 @@ import json
 import math
 from collections import OrderedDict
 from pathlib import Path
-from typing import IO, Any
+from typing import Any
 
 from .batch import BatchReport
 from .latency import LatencyFunction
@@ -223,43 +223,17 @@ def save_solve_result(result: SolveResult, path: str | Path) -> None:
     _write_json(document, path)
 
 
-def batch_report_to_dict(report: BatchReport) -> dict[str, Any]:
-    return {
-        "per_edge": {
-            edge_id: {
-                "N_e": row.count,
-                "x_e": row.load,
-                "c_e": row.base_cost,
-                "batch_c_e": row.batch_cost,
-                "gap": row.gap,
-            }
-            for edge_id, row in report.per_edge.items()
-        },
-        "total_batch_cost": report.total_batch_cost,
-        "total_original_cost": report.total_original_cost,
-        "total_gap": report.total_gap,
-    }
-
-
-def save_batch_report_json(report: BatchReport, path: str | Path) -> None:
-    _write_json(batch_report_to_dict(report), path)
-
-
-def write_batch_report_csv(report: BatchReport, out: IO[str]) -> None:
-    """Rows in ascending edge id plus a trailing TOTAL summary row."""
-    writer = csv.writer(out)
-    writer.writerow(["edge_id", "N_e", "x_e", "c_e", "batch_c_e", "gap"])
-    for edge_id, row in report.per_edge.items():
-        writer.writerow(
-            [edge_id, row.count, repr(row.load), repr(row.base_cost),
-             repr(row.batch_cost), repr(row.gap)]
-        )
-    writer.writerow(
-        ["TOTAL", "", "", repr(report.total_original_cost),
-         repr(report.total_batch_cost), repr(report.total_gap)]
-    )
-
-
 def save_batch_report_csv(report: BatchReport, path: str | Path) -> None:
+    """Rows in ascending edge id plus a trailing TOTAL summary row."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        write_batch_report_csv(report, handle)
+        writer = csv.writer(handle)
+        writer.writerow(["edge_id", "N_e", "x_e", "c_e", "batch_c_e", "gap"])
+        for edge_id, row in report.per_edge.items():
+            writer.writerow(
+                [edge_id, row.count, repr(row.load), repr(row.base_cost),
+                 repr(row.batch_cost), repr(row.gap)]
+            )
+        writer.writerow(
+            ["TOTAL", "", "", repr(report.total_original_cost),
+             repr(report.total_batch_cost), repr(report.total_gap)]
+        )

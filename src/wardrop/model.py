@@ -30,8 +30,18 @@ import numpy as np
 
 from .latency import MAX_DEGREE, LatencyFunction
 
-#: Default absolute tolerance on per-type demand conservation.
+# The tolerance policy of every fast path; wardrop.oracle keeps its own.
+# All three are absolute.
+
+#: A flow is feasible when each type's amounts sum to its demand within this.
 FEASIBILITY_TOL = 1e-9
+
+#: A strategy counts as used, and an edge as loaded, above this much mass.
+EPS_USE = 1e-9
+
+#: verify, and the mechanism's own check, accept a flow whose worst used
+#: excess is at most this.
+VERIFY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -409,16 +419,16 @@ def is_feasible(game: Game, flow: Flow, tol: float = FEASIBILITY_TOL) -> bool:
     return True
 
 
-def social_cost(game: Game, flow: Flow, tol: float = FEASIBILITY_TOL) -> float:
+def social_cost(game: Game, flow: Flow) -> float:
     """Total cost sum_e l_e(x_e) * x_e of a feasible flow."""
     view = game._arrays
-    return float(view.edge_costs(view.loads(view.feasible_vector(flow, tol))).sum())
+    return float(view.edge_costs(view.loads(view.feasible_vector(flow))).sum())
 
 
-def player_cost(game: Game, flow: Flow, type_id: str, tol: float = FEASIBILITY_TOL) -> float:
+def player_cost(game: Game, flow: Flow, type_id: str) -> float:
     """Cost borne by one player type: sum_e l_e(x_e) * x_e^i."""
     game.player_type(type_id)  # raises for an unknown type
     view = game._arrays
-    f = view.feasible_vector(flow, tol)
+    f = view.feasible_vector(flow)
     latencies = view.edge_values(view.coeff_banks["original"], view.loads(f))
     return float(latencies @ view.type_loads(f, type_id))

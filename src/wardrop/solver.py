@@ -27,14 +27,16 @@ projection arc (1982):
   fall alpha g.d that the model predicts. The fall is summed edge by
   edge from divided differences (_GameArrays.potential_change), because
   near the optimum the difference of two potentials is lost to rounding.
-  Once alpha is so small that the step moves no mass, the flow stays.
+  Once alpha is so small that the step moves no mass, the flow stays,
+  and so would every later step from it.
 
 Every step is a descent step, so the potential decreases monotonically.
 The loop stops on the relative gap sum f * (cost - cheapest cost of its
 type) over |potential|, summed over all strategies: a sum of
 nonnegative terms, equal to the linearized improvement over the
 all-or-nothing flow. It fails with ConvergenceError when the budget runs
-out or the gap or the potential stops being finite.
+out, a step moves no mass, or the gap or the potential stops being
+finite.
 
 Mode "original" prices edges by their latency and yields a Wardrop
 equilibrium; mode "marginal" prices them by the marginal-cost transform,
@@ -56,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    EPS_USE,
     Flow,
     Game,
     GameValidationError,
@@ -68,9 +71,6 @@ MODES = ("original", "marginal")
 # Floor for the relative-gap denominator, so near-zero potentials do not
 # blow up the stopping rule.
 EPS_DENOM = 1e-12
-
-# A strategy counts as used when it carries more than this much mass.
-EPS_USE = 1e-9
 
 # Eigenvalues of a reduced Hessian that is not positive definite are
 # raised to this fraction of the largest one.
@@ -182,7 +182,7 @@ def _newton_step(
 ) -> np.ndarray:
     """One projected Newton step along the projection arc from the flow
     vector f, whose loads are x and whose strategy costs in the mode are
-    costs."""
+    costs. Returns f itself when no step moves any mass."""
     rows, base = _free(arrays, f, costs)
     mass = f[rows]
     g = costs[rows] - costs[base]
@@ -218,11 +218,11 @@ def _newton_step(
 
 def potential(game: Game, flow: Flow, mode: str) -> float:
     """Beckmann-style objective: sum over edges of the mode latency
-    integral from 0 to the edge load. In marginal mode this equals the
-    social cost of the flow."""
+    integral from 0 to the edge load, at a feasible flow. In marginal
+    mode this equals the social cost of the flow."""
     _check_mode(mode)
     view = game._arrays
-    return view.potential(view.loads(view.flow_vector(flow)), mode)
+    return view.potential(view.loads(view.feasible_vector(flow)), mode)
 
 
 def solve(
@@ -239,8 +239,8 @@ def solve(
     each strategy's cost over its type's cheapest, relative to the
     potential magnitude, drops to relative_gap_tol.
     Raises ConvergenceError, carrying the last iterate and the relative
-    gap of every iterate, if the budget runs out first or as soon as the
-    potential or the gap is not finite.
+    gap of every iterate, if the budget runs out first, or as soon as a
+    step moves no mass or the potential or the gap is not finite.
     """
     _check_mode(mode)
     if params is None:
@@ -273,7 +273,10 @@ def solve(
             break
         if iteration == params.max_iterations:
             raise ConvergenceError(gaps, arrays.to_flow(f))
-        f = _newton_step(arrays, f, x, costs, mode)
+        stepped = _newton_step(arrays, f, x, costs, mode)
+        if stepped is f:  # no mass moved, so no later step would move any
+            raise ConvergenceError(gaps, arrays.to_flow(f))
+        f = stepped
 
     return SolveResult(
         flow=arrays.to_flow(f),
@@ -281,25 +284,26 @@ def solve(
         relative_gap=relative_gap,
         potential_value=phi,
         social_cost_original=float(arrays.edge_costs(x).sum()),
-        equilibrium_violation=_worst_excess(f, excess, EPS_USE),
+        equilibrium_violation=_worst_excess(f, excess),
     )
 
 
-def _worst_excess(f: np.ndarray, excess: np.ndarray, eps_use: float) -> float:
-    """Largest excess over the rows that carry more than eps_use mass."""
-    return float(excess[f > eps_use].max(initial=0.0))
+def _worst_excess(f: np.ndarray, excess: np.ndarray) -> float:
+    """Largest excess over the rows that carry more than EPS_USE mass."""
+    return float(excess[f > EPS_USE].max(initial=0.0))
 
 
-def wardrop_gap(game: Game, flow: Flow, mode: str, eps_use: float = EPS_USE) -> float:
+def wardrop_gap(game: Game, flow: Flow, mode: str) -> float:
     """Worst excess of a used strategy's latency over its type's cheapest.
 
-    Zero (up to eps_use mass filtering) characterizes a Wardrop
-    equilibrium in the given mode. Requires a feasible flow.
+    Zero (over the strategies that carry more than EPS_USE mass)
+    characterizes a Wardrop equilibrium in the given mode. Requires a
+    feasible flow.
     """
     _check_mode(mode)
     view = game._arrays
     f = view.feasible_vector(flow)
-    return _worst_excess(f, view.excess(view.strategy_costs(view.loads(f), mode)), eps_use)
+    return _worst_excess(f, view.excess(view.strategy_costs(view.loads(f), mode)))
 
 
 def price_of_anarchy(game: Game, params: SolverParams | None = None) -> float:

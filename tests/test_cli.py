@@ -209,6 +209,17 @@ def test_verify_custom_tolerance(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("mode", ["marginal", "batch"])
+@pytest.mark.parametrize("delta, expected", [(4e-7, 0), (6e-7, 1)])
+def test_verify_default_tolerance_is_1e_6(capsys, tmp_path, mode, delta, expected):
+    # Moving delta from the constant road to the x road leaves both used,
+    # with marginal costs 1 and 1 + 2 * delta: a violation of 2 * delta.
+    path = tmp_path / "near_optimum.json"
+    save_flow(Flow({("t1", 0): 0.5 - delta, ("t1", 1): 0.5 + delta}), path)
+    code, _, _ = run_lines(capsys, "verify", PIGOU, str(path), "--mode", mode)
+    assert code == expected
+
+
 def test_oracle_output(capsys):
     code, lines, _ = run_lines(capsys, "oracle", PIGOU, "--resolution", "0.5")
     assert code == 0

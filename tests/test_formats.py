@@ -23,7 +23,6 @@ from wardrop import (
 from wardrop.formats import (
     GAME_CACHE_SIZE,
     FormatError,
-    batch_report_to_dict,
     flow_to_dict,
     game_from_dict,
     game_to_dict,
@@ -403,18 +402,6 @@ def test_save_solve_result(tmp_path, pigou):
     assert payload["metadata"]["relative_gap"] == result.relative_gap
     assert payload["metadata"]["social_cost_original"] == result.social_cost_original
     assert load_flow(path, pigou).amounts == result.flow.amounts
-
-
-def test_batch_report_dict_keys(pigou):
-    report = batch_social_cost(pigou, OPTIMUM, BatchSystem({"e1": 1, "e2": 10}))
-    payload = batch_report_to_dict(report)
-    assert list(payload["per_edge"]) == ["e1", "e2"]
-    row = payload["per_edge"]["e2"]
-    assert set(row) == {"N_e", "x_e", "c_e", "batch_c_e", "gap"}
-    assert row["N_e"] == 10
-    assert payload["total_gap"] == report.total_gap
-    assert payload["total_batch_cost"] == report.total_batch_cost
-    assert payload["total_original_cost"] == report.total_original_cost
 
 
 def test_batch_report_csv_parses_back_exactly(tmp_path, pigou):

@@ -328,6 +328,7 @@ BAD_FLOWS = {
 FLOW_CALLERS = {
     "social_cost": (social_cost, "infeasible flow"),
     "player_cost": (lambda g, f: player_cost(g, f, "t1"), "infeasible flow"),
+    "potential": (lambda g, f: potential(g, f, "original"), "infeasible flow"),
     "wardrop_gap": (lambda g, f: wardrop_gap(g, f, "original"), "infeasible flow"),
     "solve": (lambda g, f: solve(g, "marginal", initial_flow=f), "initial flow is infeasible"),
     "batch_social_cost": (

@@ -248,6 +248,19 @@ def test_solve_stops_on_non_finite_iterate():
     assert info.value.flow.amounts == {("t", 0): 0.0, ("t", 1): 1e25}
 
 
+def test_solve_stops_when_a_step_cannot_move_the_flow():
+    # No iterate of this game reaches a relative gap of 1e-17. Once a
+    # step is too small to move any mass, every later iterate is the
+    # same flow, so the solve fails there instead of using its budget.
+    game = load_game(DATA / "gen_mid_seed41_game01.json")
+    with pytest.raises(ConvergenceError) as info:
+        solve(game, "marginal", SolverParams(relative_gap_tol=1e-17))
+    error = info.value
+    assert error.iterations < 100
+    assert len(error.gaps) == error.iterations + 1
+    assert is_feasible(game, error.flow)
+
+
 def test_solve_linear_game_from_split_flow():
     # Only constant latencies: the reduced Hessian vanishes, and one step
     # moves all mass onto the cheaper strategy. The drained strategy
