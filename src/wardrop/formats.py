@@ -4,6 +4,11 @@ Games and flows travel as JSON; batch reports as CSV. File
 floats are written with repr precision so every value parses back to the
 exact float that was written; fixed 6-decimal formatting is display-only
 and lives in the CLI.
+
+Game files go through json.dumps(indent=2). Flow files are written
+directly, one formatted string per entry, because json's indented
+encoder is pure Python; their bytes are exactly those that
+json.dumps(flow_to_dict(flow), indent=2) would give.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import csv
 import json
 import math
 from collections import OrderedDict
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -208,19 +214,42 @@ def flow_to_dict(flow: Flow) -> dict[str, Any]:
     }
 
 
+def _float_text(value: float) -> str:
+    """value as json writes it: repr if finite, else NaN or +-Infinity."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+def _amounts_text(flow: Flow) -> str:
+    """The "amounts" value of flow_to_dict(flow) as json.dumps(indent=2)
+    writes it one level deep."""
+    entries = [
+        f'    {{\n      "type": {encode_basestring_ascii(type_id)},\n'
+        f'      "strategy": {int.__repr__(index)},\n'
+        f'      "x": {_float_text(amount)}\n    }}'
+        for (type_id, index), amount in sorted(flow.amounts.items())
+    ]
+    return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+
+
 def save_flow(flow: Flow, path: str | Path) -> None:
-    _write_json(flow_to_dict(flow), path)
+    text = f'{{\n  "amounts": {_amounts_text(flow)}\n}}\n'
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def save_solve_result(result: SolveResult, path: str | Path) -> None:
     """Flow schema plus a metadata block; load_flow reads it back."""
-    document = flow_to_dict(result.flow)
-    document["metadata"] = {
-        "iterations": result.iterations,
-        "relative_gap": result.relative_gap,
-        "social_cost_original": result.social_cost_original,
-    }
-    _write_json(document, path)
+    text = (
+        f'{{\n  "amounts": {_amounts_text(result.flow)},\n  "metadata": {{\n'
+        f'    "iterations": {int.__repr__(result.iterations)},\n'
+        f'    "relative_gap": {_float_text(result.relative_gap)},\n'
+        f'    "social_cost_original": {_float_text(result.social_cost_original)}\n'
+        "  }\n}\n"
+    )
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def save_batch_report_csv(report: BatchReport, path: str | Path) -> None:

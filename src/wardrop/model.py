@@ -251,12 +251,16 @@ class _GameArrays:
     as index arrays for per-type reductions: owner[r] is the type of row
     r, and slots[t] lists the rows of type t, padded with the row count,
     which reductions read as a sentinel entry past the end of the vector.
+    row_range and type_range are the row and type indices in order.
 
     Loads are flow @ incidence. Latency coefficients are padded into one
     matrix per mode, so a whole load vector evaluates in one Horner
     sweep; the leading zeros of the padding are exact, so every entry
-    equals the scalar Horner value of its own polynomial. The integral
-    and derivative banks of each mode are padded the same way.
+    equals the scalar Horner value of its own polynomial. Each mode's
+    latency, derivative and integral coefficients are stacked in one
+    array, banks[mode], of shape (width, 3, edges), which sweep()
+    evaluates in one pass; coeff_banks[mode] is the (edges, width) view
+    of its latency rows.
 
     Every array is read-only: the view lives as long as its Game, which
     load_game hands to every caller that loads the same text.
@@ -266,47 +270,52 @@ class _GameArrays:
         n_edges = len(game.edges)
         self.edge_index = {e.id: k for k, e in enumerate(game.edges)}
         keys: list[tuple[str, int]] = []
-        cells: list[tuple[int, int]] = []
+        # The (row, edge) cells of incidence that hold a 1.
+        cell_rows: list[int] = []
+        cell_cols: list[int] = []
         self.spans: dict[str, tuple[int, int]] = {}
         self.type_ids = [t.id for t in game.player_types]
         self.demand = np.array([t.demand for t in game.player_types])
         for ptype in game.player_types:
             start = len(keys)
             for s, strategy in enumerate(ptype.strategies):
-                cells.extend((len(keys), self.edge_index[edge_id]) for edge_id in strategy)
+                cell_rows.extend([len(keys)] * len(strategy))
+                cell_cols.extend(self.edge_index[edge_id] for edge_id in strategy)
                 keys.append((ptype.id, s))
             self.spans[ptype.id] = (start, len(keys))
         self.keys = keys
         self.row_index = {key: r for r, key in enumerate(keys)}
         sizes = np.array([len(t.strategies) for t in game.player_types], dtype=int)
-        self.owner = np.repeat(np.arange(len(sizes)), sizes)
+        self.type_range = np.arange(len(sizes))
+        self.owner = np.repeat(self.type_range, sizes)
+        self.row_range = np.arange(len(keys))
         # Row r sits in column r - (first row of its type) of slots.
-        rows = np.arange(len(keys))
         first = np.cumsum(sizes) - sizes
         self.slots = np.full((len(sizes), max(sizes.max(initial=0), 1)), len(keys))
-        self.slots[self.owner, rows - first[self.owner]] = rows
+        self.slots[self.owner, self.row_range - first[self.owner]] = self.row_range
         self.incidence = np.zeros((len(keys), n_edges))
-        for row, col in cells:
-            self.incidence[row, col] = 1.0
+        self.incidence[cell_rows, cell_cols] = 1.0
         original = [e.latency.coeffs for e in game.edges]
-        bank = np.zeros((n_edges, max(map(len, original), default=1) or 1))
+        width = max(map(len, original), default=1) or 1
+        # banks[m, j, b, e]: coefficient j of bank b (latency, derivative,
+        # integral) of edge e in mode m (original, marginal).
+        banks = np.zeros((2, width, 3, n_edges))
         for k, coeffs in enumerate(original):
-            bank[k, : len(coeffs)] = coeffs
-        powers = np.arange(1.0, bank.shape[1] + 1.0)
+            banks[0, : len(coeffs), 0, k] = coeffs
+        powers = np.arange(1.0, width + 1.0)[:, None]
+        latency = banks[:, :, 0]
         # The marginal-cost transform is a_j -> (j + 1) * a_j.
-        self.coeff_banks = {"original": bank, "marginal": bank * powers}
-        self.integral_banks = {mode: b / powers for mode, b in self.coeff_banks.items()}
-        # Derivatives a_j -> j * a_j, shifted down one power and padded
-        # with a zero column to the same width.
-        self.derivative_banks = {}
-        for mode, b in self.coeff_banks.items():
-            derivative = np.zeros_like(b)
-            derivative[:, :-1] = b[:, 1:] * powers[:-1]
-            self.derivative_banks[mode] = derivative
+        latency[1] = latency[0] * powers
+        # Derivatives a_j -> j * a_j, shifted down one power, with a zero
+        # at the top; integrals a_j / (j + 1).
+        banks[:, :-1, 1] = latency[:, 1:] * powers[:-1]
+        banks[:, :, 2] = latency / powers
+        banks.flags.writeable = False
+        self.banks = {"original": banks[0], "marginal": banks[1]}
+        self.coeff_banks = {mode: bank[:, 0].T for mode, bank in self.banks.items()}
         for array in (
-            self.demand, self.owner, self.slots, self.incidence,
-            *self.coeff_banks.values(), *self.integral_banks.values(),
-            *self.derivative_banks.values(),
+            self.demand, self.type_range, self.row_range, self.owner, self.slots,
+            self.incidence,
         ):
             array.flags.writeable = False
 
@@ -356,7 +365,8 @@ class _GameArrays:
         """
         acc = np.zeros(bank.shape[:-1])
         for j in range(bank.shape[-1] - 1, -1, -1):
-            acc = acc * x + bank[..., j]
+            acc *= x
+            acc += bank[..., j]
         return acc
 
     def edge_costs(self, x: np.ndarray) -> np.ndarray:
@@ -366,10 +376,34 @@ class _GameArrays:
     def strategy_costs(self, x: np.ndarray, mode: str) -> np.ndarray:
         return self.incidence @ self.edge_values(self.coeff_banks[mode], x)
 
-    def potential(self, x: np.ndarray, mode: str) -> float:
-        return float(x @ self.edge_values(self.integral_banks[mode], x))
+    def sweep(self, x: np.ndarray, mode: str) -> np.ndarray:
+        """Horner's sweep of the mode's stacked banks at loads x, with every
+        partial sum kept: shape (width, 3, edges).
 
-    def potential_change(self, x: np.ndarray, dx: np.ndarray, mode: str) -> float:
+        Its first entry holds the values at x: row 0 the latencies, row 1
+        their derivatives and row 2 the integral bank, whose value times x
+        is the edge's potential term. The partial sums of a bank at x are
+        the coefficients of its quotient by (y - x), so those of the
+        integral bank, [:, 2], are the quotient that potential_change
+        evaluates. Every value row is contiguous and equals edge_values
+        of its own bank at x, bit for bit.
+        """
+        bank = self.banks[mode]
+        partial = np.empty_like(bank)
+        # acc = acc * x + bank[j], from acc = 0, in place.
+        np.multiply(x, 0.0, out=partial[-1])
+        partial[-1] += bank[-1]
+        for j in range(len(bank) - 2, -1, -1):
+            np.multiply(partial[j + 1], x, out=partial[j])
+            partial[j] += bank[j]
+        return partial
+
+    def potential(self, x: np.ndarray, mode: str) -> float:
+        return float(x @ self.sweep(x, mode)[0, 2])
+
+    def potential_change(
+        self, x: np.ndarray, dx: np.ndarray, mode: str, quotient: np.ndarray | None = None
+    ) -> float:
         """The potential at loads x + dx minus that at x, as
         sum_e dx_e * P_e[x_e, x_e + dx_e], with P_e[a, b] the divided
         difference of edge e's integral polynomial P_e.
@@ -378,25 +412,23 @@ class _GameArrays:
         coefficients of the quotient of P_e by (y - a), and the quotient
         at b is P_e[a, b]. At nonnegative loads both sweeps add
         nonnegative parts, so no term cancels, however small dx is.
+        quotient, when given, is sweep(x, mode)[:, 2], which the solver
+        has already made for its iterate.
         """
-        bank = self.integral_banks[mode]
-        quotient = np.empty_like(bank)
-        acc = np.zeros(len(x))
-        for j in range(bank.shape[1] - 1, -1, -1):
-            acc = acc * x + bank[:, j]
-            quotient[:, j] = acc
-        return float(dx @ self.edge_values(quotient, x + dx))
+        if quotient is None:
+            quotient = self.sweep(x, mode)[:, 2]
+        return float(dx @ self.edge_values(quotient.T, x + dx))
 
     def excess(self, costs: np.ndarray) -> np.ndarray:
         """Each strategy's cost minus the cheapest cost of its type."""
-        cheapest = np.append(costs, np.inf)[self.slots].min(axis=1)
+        cheapest = np.concatenate((costs, (np.inf,)))[self.slots].min(axis=1)
         return costs - cheapest[self.owner]
 
     def all_or_nothing(self, costs: np.ndarray) -> np.ndarray:
         """Each type's demand on its cheapest strategy, ties toward the
         lowest index."""
-        pick = np.append(costs, np.inf)[self.slots].argmin(axis=1)
-        rows = np.take_along_axis(self.slots, pick[:, None], axis=1)[:, 0]
+        pick = np.concatenate((costs, (np.inf,)))[self.slots].argmin(axis=1)
+        rows = self.slots[self.type_range, pick]
         # Only a type without strategies picks the sentinel.
         stranded = np.flatnonzero((rows == len(self.keys)) & (self.demand > 0))
         if stranded.size:

@@ -45,7 +45,12 @@ optimum.
 
 The loop, the potential and the equilibrium gap all read the game's
 vector view, model._GameArrays, which also owns the per-type layout of
-the flow vector and its per-type reductions.
+the flow vector and its per-type reductions. Each iterate makes one
+Horner sweep of its loads (_GameArrays.sweep) through the mode's
+latency, derivative and integral banks at once. Its values give the
+strategy costs, the Hessian's l' and the potential; its integral
+partial sums are the quotient bank that every Armijo trial of the step
+evaluates, so a trial costs one Horner pass.
 """
 
 from __future__ import annotations
@@ -142,10 +147,10 @@ def _free(
     Types without mass, or with one strategy, have no free rows.
     """
     slots = arrays.slots
-    pick = np.append(f, -1.0)[slots].argmax(axis=1)
-    base = np.take_along_axis(slots, pick[:, None], axis=1)[arrays.owner, 0]
+    pick = np.concatenate((f, (-1.0,)))[slots].argmax(axis=1)
+    base = slots[arrays.type_range, pick][arrays.owner]
     free = (
-        (np.arange(len(f)) != base)
+        (arrays.row_range != base)
         & (f[base] > 0.0)
         & ((f > 0.0) | (costs < costs[base]))
     )
@@ -178,39 +183,49 @@ def _newton_direction(hessian: np.ndarray, g: np.ndarray, reach: np.ndarray) -> 
 
 
 def _newton_step(
-    arrays: _GameArrays, f: np.ndarray, x: np.ndarray, costs: np.ndarray, mode: str
+    arrays: _GameArrays,
+    f: np.ndarray,
+    x: np.ndarray,
+    costs: np.ndarray,
+    sweep: np.ndarray,
+    mode: str,
 ) -> np.ndarray:
     """One projected Newton step along the projection arc from the flow
-    vector f, whose loads are x and whose strategy costs in the mode are
-    costs. Returns f itself when no step moves any mass."""
+    vector f, whose loads are x, whose strategy costs in the mode are
+    costs and whose Horner sweep is arrays.sweep(x, mode). Returns f
+    itself when no step moves any mass."""
     rows, base = _free(arrays, f, costs)
     mass = f[rows]
     g = costs[rows] - costs[base]
     diff = arrays.incidence[rows] - arrays.incidence[base]
-    curved = diff * arrays.edge_values(arrays.derivative_banks[mode], x)
+    curved = diff * sweep[0, 1]
     # The eps-active rows cost more than their basic row and carry less
     # mass than the diagonal of the Newton model would move off them.
     # They leave the Newton system, and the full step empties them.
     active = (g > 0.0) & (mass * (curved * diff).sum(axis=1) <= g)
     d = -mass
-    newton = ~active
-    if newton.any():
+    newton = np.flatnonzero(~active)
+    if newton.size:
         hessian = curved[newton] @ diff[newton].T
         d[newton] = _newton_direction(hessian, g[newton], f[base[newton]])
     descent = float(g @ d)
     if not -math.inf < descent < 0.0:  # no descent, or d is not finite
         return f
+    quotient = sweep[:, 2]
+    floor = -mass
+    used = f > 0.0
     alpha = 1.0
     while True:
-        change = np.maximum(alpha * d, -mass)
+        change = np.maximum(alpha * d, floor)
         step = np.zeros_like(f)
         step[rows] = change
         step -= np.bincount(base, weights=change, minlength=len(f))
         stepped = f + step
-        if not (stepped != f)[f > 0.0].any():
+        if not (stepped != f)[used].any():
             return f  # the step no longer moves any mass: it is below rounding
         if stepped.min() >= 0.0 and (
-            arrays.potential_change(x, arrays.loads(step), mode) <= ARMIJO * alpha * descent
+            arrays.potential_change(x, arrays.loads(step), mode, quotient)
+            <= ARMIJO * alpha * descent
         ):
             return stepped
         alpha *= 0.5
@@ -261,10 +276,12 @@ def solve(
     gaps: list[float] = []
     for iteration in range(params.max_iterations + 1):
         x = arrays.loads(f)
-        costs = arrays.strategy_costs(x, mode)
+        sweep = arrays.sweep(x, mode)
+        latencies, _, integrals = sweep[0]
+        costs = arrays.incidence @ latencies
         excess = arrays.excess(costs)
         gap = float(f @ excess)
-        phi = arrays.potential(x, mode)
+        phi = float(x @ integrals)
         relative_gap = gap / max(abs(phi), EPS_DENOM)
         gaps.append(relative_gap)
         if not (math.isfinite(phi) and math.isfinite(gap)):
@@ -273,7 +290,7 @@ def solve(
             break
         if iteration == params.max_iterations:
             raise ConvergenceError(gaps, arrays.to_flow(f))
-        stepped = _newton_step(arrays, f, x, costs, mode)
+        stepped = _newton_step(arrays, f, x, costs, sweep, mode)
         if stepped is f:  # no mass moved, so no later step would move any
             raise ConvergenceError(gaps, arrays.to_flow(f))
         f = stepped

@@ -138,6 +138,25 @@ def test_fixture_stdout_matches_golden_file(capsys, fixture, name):
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+# The flow file each solving command writes with --out, byte for byte, is
+# checked in as tests/data/flows/<fixture>.<name>.json.
+GOLDEN_FLOW_COMMANDS = {
+    name: GOLDEN_COMMANDS[name] for name in ("solve", "solve-marginal", "optimum")
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_FLOW_COMMANDS)
+@pytest.mark.parametrize("fixture", ["pigou", "mono", "twotype"])
+def test_fixture_flow_file_matches_golden_file(capsys, tmp_path, fixture, name):
+    command, *options = GOLDEN_FLOW_COMMANDS[name]
+    golden = ROOT / "tests" / "data" / "flows" / f"{fixture}.{name}.json"
+    out = tmp_path / "flow.json"
+    argv = [command, str(FIXTURES / f"{fixture}.json"), *options, "--out", str(out)]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_sweep_progressions(capsys):
     # Geometric when the second value is a multiple >= 2 of the first,
     # arithmetic otherwise.

@@ -1,10 +1,13 @@
 import csv
 import json
+import math
 import re
 from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_feasible_flow, random_game
 from wardrop import (
@@ -33,6 +36,7 @@ from wardrop.formats import (
     save_game,
     save_solve_result,
 )
+from wardrop.solver import SolveResult
 
 OPTIMUM = Flow({("t1", 0): 0.5, ("t1", 1): 0.5})
 
@@ -301,6 +305,48 @@ def test_saved_json_layout(tmp_path):
         b'{\n  "amounts": [\n    {\n      "type": "t1",\n      "strategy": 0,\n'
         b'      "x": 0.1\n    }\n  ]\n}\n'
     )
+
+
+# Type ids with non-ASCII characters, quotes, backslashes and control
+# characters, and amounts at the ends of the float range.
+TYPE_IDS = st.text() | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f\n\t", "é", "\u2028", "\ud800", "t1"]
+)
+AMOUNTS = st.sampled_from([0.0, 5e-324, 1e308]) | st.floats()
+FLOWS = st.dictionaries(st.tuples(TYPE_IDS, st.integers(0, 10**6)), AMOUNTS, max_size=6).map(Flow)
+# Writing the same temporary file for every example is harmless.
+ON_ONE_FILE = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@ON_ONE_FILE
+@given(flow=FLOWS)
+@example(flow=Flow({}))
+@example(flow=Flow({('a"\\\x07é', 0): 0.0, ("\u00ff", 3): 5e-324, ("\U0001f600", 1): 1e308}))
+@example(flow=Flow({("t", 0): math.nan, ("t", 1): math.inf, ("t", 2): -math.inf, ("u", 0): -0.0}))
+def test_saved_flow_is_json_with_indent_2(tmp_path, flow):
+    path = tmp_path / "flow.json"
+    save_flow(flow, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(flow_to_dict(flow), indent=2) + "\n"
+
+
+@ON_ONE_FILE
+@given(
+    flow=FLOWS,
+    iterations=st.integers(0, 10**4),
+    gap=st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(),
+    cost=st.floats(),
+)
+def test_saved_solve_result_is_json_with_indent_2(tmp_path, flow, iterations, gap, cost):
+    result = SolveResult(flow, iterations, gap, cost, cost, 0.0)
+    path = tmp_path / "result.json"
+    save_solve_result(result, path)
+    document = flow_to_dict(flow)
+    document["metadata"] = {
+        "iterations": iterations,
+        "relative_gap": gap,
+        "social_cost_original": cost,
+    }
+    assert path.read_text(encoding="utf-8") == json.dumps(document, indent=2) + "\n"
 
 
 def test_flow_to_dict_sorted():

@@ -452,6 +452,62 @@ def test_potential_change_keeps_the_sign_below_rounding(pigou):
     assert view.potential_change(x, dx, "original") == pytest.approx(-5e-21, rel=1e-12)
 
 
+# Loads at which the sweep is pinned: zero, subnormals, large, and any.
+SWEEP_LOADS = st.sampled_from([0.0, 5e-324, 1e-310, 1e3]) | st.floats(0.0, 1e3)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A game of 1-6 edges with latencies of degree 0-16, and loads x
+    and y on its edges."""
+    degrees = draw(st.lists(st.integers(0, wardrop.latency.MAX_DEGREE), min_size=1, max_size=6))
+    edges = tuple(
+        Edge(f"e{k}", LatencyFunction(draw(st.lists(st.floats(0.0, 1e3), min_size=d + 1,
+                                                     max_size=d + 1))))
+        for k, d in enumerate(degrees)
+    )
+    game = Game(edges, (PlayerType("t", 1.0, (frozenset(e.id for e in edges),)),))
+    loads = st.lists(SWEEP_LOADS, min_size=len(edges), max_size=len(edges))
+    return game, np.array(draw(loads)), np.array(draw(loads))
+
+
+def quotient_by_columns(bank, x):
+    """Horner's partial sums of an (edges, width) bank at x, built one
+    column at a time: the reference for the stacked sweep's quotient."""
+    quotient = np.empty_like(bank)
+    acc = np.zeros(len(x))
+    for j in range(bank.shape[1] - 1, -1, -1):
+        acc = acc * x + bank[:, j]
+        quotient[:, j] = acc
+    return quotient
+
+
+@given(case=sweep_cases())
+def test_sweep_rows_equal_their_own_banks_bit_for_bit(case):
+    game, x, y = case
+    view = game._arrays
+    dx = y - x
+    width = max(len(e.latency.coeffs) for e in game.edges)
+    original = np.zeros((len(game.edges), width))
+    for k, e in enumerate(game.edges):
+        original[k, : len(e.latency.coeffs)] = e.latency.coeffs
+    powers = np.arange(1.0, width + 1.0)
+    for mode, latency in (("original", original), ("marginal", original * powers)):
+        derivative = np.zeros_like(latency)
+        derivative[:, :-1] = latency[:, 1:] * powers[:-1]
+        integral = latency / powers
+        sweep = view.sweep(x, mode)
+        for row, bank in zip(sweep[0], (latency, derivative, integral)):
+            assert row.flags.c_contiguous
+            assert row.tobytes() == view.edge_values(bank, x).tobytes()
+        quotient = quotient_by_columns(integral, x)
+        assert sweep[:, 2].T.tobytes() == quotient.tobytes()
+        by_columns = float(dx @ view.edge_values(quotient, x + dx))
+        change = view.potential_change(x, dx, mode, sweep[:, 2])
+        assert change.hex() == by_columns.hex()
+        assert view.potential_change(x, dx, mode).hex() == by_columns.hex()
+
+
 def test_validate_game_checks_once_and_returns_a_new_list(monkeypatch):
     calls = []
     check = model._check_game

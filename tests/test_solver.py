@@ -1,3 +1,4 @@
+import json
 import math
 import time
 from pathlib import Path
@@ -66,7 +67,8 @@ def newton_step(game, flow, mode):
     view = game._arrays
     f = view.flow_vector(flow)
     x = view.loads(f)
-    return view.to_flow(_newton_step(view, f, x, view.strategy_costs(x, mode), mode))
+    sweep = view.sweep(x, mode)
+    return view.to_flow(_newton_step(view, f, x, view.strategy_costs(x, mode), sweep, mode))
 
 
 def test_solver_params_validation():
@@ -359,6 +361,24 @@ def test_generated_game_converges_to_tight_tolerance(name, mode):
     game = load_game(DATA / f"{name}.json")
     result = solve(game, mode, SolverParams(relative_gap_tol=1e-12, max_iterations=100))
     assert result.relative_gap <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["gen_mid_seed41_game01", "gen_mid_seed41_game11"])
+@pytest.mark.parametrize("mode", MODES)
+def test_generated_game_solve_is_pinned_bit_for_bit(name, mode):
+    # tests/data/solver_pins.json holds the step count and the exact
+    # floats (as float.hex) of these solves. A change that only makes the
+    # solver faster must reproduce them to the last bit.
+    pin = json.loads((DATA / "solver_pins.json").read_text())[f"{name}.{mode}"]
+    game = load_game(DATA / f"{name}.json")
+    result = solve(game, mode, SolverParams(relative_gap_tol=1e-12))
+    assert result.iterations == pin["iterations"]
+    for field in ("relative_gap", "potential_value", "social_cost_original",
+                  "equilibrium_violation"):
+        assert getattr(result, field).hex() == pin[field], field
+    assert result.flow.amounts == {
+        (type_id, index): float.fromhex(amount) for type_id, index, amount in pin["amounts"]
+    }
 
 
 @pytest.mark.parametrize("mode", MODES)
