@@ -64,6 +64,7 @@ import numpy as np
 
 from .model import (
     EPS_USE,
+    VERIFY_TOL,
     Flow,
     Game,
     GameValidationError,
@@ -252,7 +253,9 @@ def solve(
     Starts from the all-or-nothing flow at zero loads unless initial_flow
     (any feasible flow) is given. Stops when the flow-weighted excess of
     each strategy's cost over its type's cheapest, relative to the
-    potential magnitude, drops to relative_gap_tol.
+    potential magnitude, drops to relative_gap_tol, and no strategy that
+    carries more than EPS_USE mass costs more than VERIFY_TOL above its
+    type's cheapest, so that verify accepts the flow.
     Raises ConvergenceError, carrying the last iterate and the relative
     gap of every iterate, if the budget runs out first, or as soon as a
     step moves no mass or the potential or the gap is not finite.
@@ -286,7 +289,7 @@ def solve(
         gaps.append(relative_gap)
         if not (math.isfinite(phi) and math.isfinite(gap)):
             raise ConvergenceError(gaps, arrays.to_flow(f))
-        if relative_gap <= params.relative_gap_tol:
+        if relative_gap <= params.relative_gap_tol and _worst_excess(f, excess) <= VERIFY_TOL:
             break
         if iteration == params.max_iterations:
             raise ConvergenceError(gaps, arrays.to_flow(f))

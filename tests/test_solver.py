@@ -33,7 +33,7 @@ from wardrop import (
     wardrop_gap,
 )
 from wardrop.formats import load_game
-from wardrop.model import is_feasible
+from wardrop.model import VERIFY_TOL, is_feasible
 from wardrop.oracle import grid_search_equilibrium
 from wardrop.solver import MODES, _newton_step
 
@@ -350,6 +350,17 @@ def test_solve_from_random_interior_flow_reaches_the_same_costs(seed):
     start = random_feasible_flow(game, rng)
     for mode in MODES:
         assert_same_edge_costs(game, solve(game, mode), solve(game, mode, initial_flow=start))
+
+
+@pytest.mark.parametrize(
+    "seed, mode", [(109, "original"), (18172, "marginal"), (314395, "marginal")]
+)
+def test_default_solve_passes_verify(seed, mode):
+    # On these games the relative gap drops below its default tolerance
+    # while a used strategy still costs more than 1e-6 above its type's
+    # cheapest; the solve goes on until verify's check holds as well.
+    game = random_game(np.random.default_rng(seed))
+    assert wardrop_gap(game, solve(game, mode).flow, mode) <= VERIFY_TOL
 
 
 @pytest.mark.parametrize("name", ["gen_mid_seed41_game01", "gen_mid_seed41_game11"])
