@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import EPS_USE, VERIFY_TOL, Flow, Game, _GameArrays
-from .solver import SolverParams, SolveResult, solve, wardrop_gap
+from .solver import SolverParams, SolveResult, _solve_pair, wardrop_gap
 
 #: Coefficients (counts x edges x polynomial width) that batch_sweep
 #: prices in one array pass; 2**20 float64 values are 8 MB per array.
@@ -274,14 +274,14 @@ def verify_batch_equilibrium(
 def mechanism_pipeline(
     game: Game, epsilon: float, params: SolverParams | None = None
 ) -> MechanismReport:
-    """Solve for the social optimum, pick batch counts for epsilon, price
-    the flow, and verify both guarantees.
+    """Solve for the social optimum and the equilibrium, pick batch counts
+    for epsilon, price the optimum, and verify both guarantees.
 
     Raises MechanismError if the verified batch equilibrium fails or the
     realized cost overshoot exceeds epsilon; both indicate a solver or
     selection defect rather than bad input.
     """
-    optimum = solve(game, "marginal", params)
+    optimum, selfish, ratio = _solve_pair(game, params)
     batch_system = select_batch_system(game, optimum.flow, epsilon)
     report = batch_social_cost(game, optimum.flow, batch_system)
     check = verify_batch_equilibrium(game, optimum.flow, batch_system)
@@ -293,11 +293,6 @@ def mechanism_pipeline(
         raise MechanismError(
             f"batch cost overshoot {report.total_gap:.3e} exceeds epsilon {epsilon:.3e}"
         )
-    selfish = solve(game, "original", params)
-    if optimum.social_cost_original > 0:
-        ratio = selfish.social_cost_original / optimum.social_cost_original
-    else:
-        ratio = None
     return MechanismReport(
         epsilon=epsilon,
         optimum=optimum,

@@ -16,16 +16,12 @@ import math
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import formats, oracle
-from .batch import (
-    BatchSystem,
-    MechanismError,
-    batch_sweep,
-    mechanism_pipeline,
-    verify_batch_equilibrium,
-)
+from .batch import MechanismError, batch_sweep, mechanism_pipeline
 from .model import VERIFY_TOL, GameValidationError, social_cost
-from .solver import ConvergenceError, SolverParams, potential, solve, wardrop_gap
+from .solver import ConvergenceError, SolverParams, _solve_pair, potential, solve, wardrop_gap
 
 
 def _positive_float(text: str) -> float:
@@ -88,13 +84,8 @@ def _parse_n_list(text: str) -> list[int]:
     return sorted(set(values))
 
 
-def _solver_params(args: argparse.Namespace) -> SolverParams | None:
-    overrides = {}
-    if getattr(args, "max_iterations", None) is not None:
-        overrides["max_iterations"] = args.max_iterations
-    if getattr(args, "gap_tol", None) is not None:
-        overrides["relative_gap_tol"] = args.gap_tol
-    return SolverParams(**overrides) if overrides else None
+def _solver_params(args: argparse.Namespace) -> SolverParams:
+    return SolverParams(args.max_iterations, args.gap_tol)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -119,14 +110,11 @@ def _cmd_optimum(args: argparse.Namespace) -> int:
 
 def _cmd_poa(args: argparse.Namespace) -> int:
     game = formats.load_game(args.game)
-    params = _solver_params(args)
-    selfish = solve(game, "original", params)
-    optimal = solve(game, "marginal", params)
+    optimal, selfish, ratio = _solve_pair(game, _solver_params(args))
     print(f"equilibrium social cost: {selfish.social_cost_original:.6f}")
     print(f"optimal social cost: {optimal.social_cost_original:.6f}")
-    if optimal.social_cost_original <= 0.0:
+    if ratio is None:
         raise ValueError("price of anarchy undefined: optimal social cost is zero")
-    ratio = selfish.social_cost_original / optimal.social_cost_original
     print(f"price of anarchy: {ratio:.6f}")
     return 0
 
@@ -165,17 +153,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     game = formats.load_game(args.game)
     flow = formats.load_flow(args.flow, game)
-    if args.mode == "wardrop":
-        violation = wardrop_gap(game, flow, "original")
-    elif args.mode == "marginal":
-        violation = wardrop_gap(game, flow, "marginal")
-    else:
-        # Verdict is independent of the batch counts, so verify against
-        # the uniform single-batch system.
-        outcome = verify_batch_equilibrium(
-            game, flow, BatchSystem.uniform(game, 1), args.tol
-        )
-        violation = outcome.max_violation
+    # The batch verdict is the marginal one, whatever the batch counts:
+    # its binding batch is the last on each used edge, which pays the
+    # full-load marginal latency (verify_batch_equilibrium).
+    violation = wardrop_gap(game, flow, "original" if args.mode == "wardrop" else "marginal")
     print(f"max violation: {violation:.6f}")
     return 0 if violation <= args.tol else 1
 
@@ -191,9 +172,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _add_solver_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-iterations", type=_positive_int, default=None)
-    parser.add_argument("--gap-tol", type=_positive_float, default=None,
-                        help="stop at sum f*(cost - type's cheapest)/|potential|")
+    parser.add_argument("--max-iterations", type=_positive_int,
+                        default=SolverParams.max_iterations)
+    parser.add_argument("--gap-tol", type=_positive_float,
+                        default=SolverParams.relative_gap_tol,
+                        help="stop at sum f*(cost - type's cheapest)/|potential|, "
+                        "once no used strategy costs more than verify's default "
+                        "--tol above its type's cheapest")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,7 +252,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # Overflow and the NaNs it breeds end as exit 4 or a printed nan;
+        # numpy's warnings about them would only repeat that on stderr.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ConvergenceError, MechanismError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -326,14 +326,30 @@ def wardrop_gap(game: Game, flow: Flow, mode: str) -> float:
     return _worst_excess(f, view.excess(view.strategy_costs(view.loads(f), mode)))
 
 
+def _solve_pair(
+    game: Game, params: SolverParams | None
+) -> tuple[SolveResult, SolveResult, float | None]:
+    """The social optimum, the Wardrop equilibrium and the price of
+    anarchy, the ratio of their social costs.
+
+    The optimum is solved first. Both solves start cold, so each result
+    equals a separate solve call bit for bit. The ratio is None unless
+    the optimal social cost is positive.
+    """
+    optimal = solve(game, "marginal", params)
+    selfish = solve(game, "original", params)
+    cost = optimal.social_cost_original
+    ratio = selfish.social_cost_original / cost if cost > 0.0 else None
+    return optimal, selfish, ratio
+
+
 def price_of_anarchy(game: Game, params: SolverParams | None = None) -> float:
     """Equilibrium social cost over optimal social cost.
 
     Raises ValueError when the optimal social cost is zero, where the
     ratio is undefined.
     """
-    selfish = solve(game, "original", params)
-    optimal = solve(game, "marginal", params)
-    if optimal.social_cost_original <= 0.0:
+    _, _, ratio = _solve_pair(game, params)
+    if ratio is None:
         raise ValueError("price of anarchy undefined: optimal social cost is zero")
-    return selfish.social_cost_original / optimal.social_cost_original
+    return ratio

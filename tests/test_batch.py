@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from wardrop import (
     PlayerType,
     batch_social_cost,
     batch_sweep,
+    load_game,
     mechanism_pipeline,
+    price_of_anarchy,
     select_batch_system,
     social_cost,
     solve,
@@ -25,6 +28,9 @@ from wardrop import (
     wardrop_gap,
 )
 from wardrop.oracle import exhaustive_batch_verify, riemann_check
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+DATA = Path(__file__).resolve().parent / "data"
 
 OPTIMUM = Flow({("t1", 0): 0.5, ("t1", 1): 0.5})
 SELFISH = Flow({("t1", 0): 0.0, ("t1", 1): 1.0})
@@ -367,6 +373,23 @@ def test_mechanism_pipeline_mono(mono):
     assert report.batch_system.counts == {"m1": 3}
     assert report.batch_report.total_gap == pytest.approx(5.0 / 9.0, rel=1e-12)
     assert report.price_of_anarchy == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [FIXTURES / f"{name}.json" for name in ("pigou", "mono", "twotype")]
+    + [DATA / f"gen_mid_seed41_game{k}.json" for k in ("01", "11")],
+    ids=lambda path: path.stem,
+)
+def test_pair_costs_equal_separate_solves(path):
+    # The mechanism and the price of anarchy solve the same pair as two
+    # solve calls, bit for bit.
+    game = load_game(path)
+    selfish = solve(game, "original").social_cost_original
+    optimal = solve(game, "marginal").social_cost_original
+    report = mechanism_pipeline(game, 0.01)
+    assert (report.selfish_cost, report.optimal_cost) == (selfish, optimal)
+    assert report.price_of_anarchy == price_of_anarchy(game) == selfish / optimal
 
 
 def test_mechanism_pipeline_budget_on_random_games():

@@ -20,6 +20,34 @@ MONO = str(FIXTURES / "mono.json")
 OPTIMUM = Flow({("t1", 0): 0.5, ("t1", 1): 0.5})
 SELFISH = Flow({("t1", 0): 0.0, ("t1", 1): 1.0})
 
+# The three fixtures and two 30-edge games of the benchmark's gen-mid pool.
+PAIR_GAMES = [str(FIXTURES / f"{name}.json") for name in ("pigou", "mono", "twotype")] + [
+    str(ROOT / "tests" / "data" / f"gen_mid_seed41_game{k}.json") for k in ("01", "11")
+]
+
+
+OVERFLOW_FLOW = Flow({("t", 0): 0.0, ("t", 1): 1e25})
+
+
+@pytest.fixture
+def overflow_game(tmp_path):
+    """Roads c (cost 1) and p (cost x^16) at demand 1e25. Costs overflow
+    once p carries the demand, as in OVERFLOW_FLOW and in the solver's
+    first iterate."""
+    path = tmp_path / "overflow.json"
+    path.write_text(
+        json.dumps(
+            {
+                "edges": [
+                    {"id": "c", "latency": {"coeffs": [1.0]}},
+                    {"id": "p", "latency": {"coeffs": [0.0] * 16 + [1.0]}},
+                ],
+                "player_types": [{"id": "t", "demand": 1e25, "strategies": [["c"], ["p"]]}],
+            }
+        )
+    )
+    return str(path)
+
 
 def run_lines(capsys, *argv):
     code = cli.run(list(argv))
@@ -157,6 +185,16 @@ def test_fixture_flow_file_matches_golden_file(capsys, tmp_path, fixture, name):
     assert out.read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("game", PAIR_GAMES, ids=lambda path: Path(path).stem)
+def test_poa_costs_equal_solve_and_optimum(capsys, game):
+    # poa solves the same pair as solve and optimum, bit for bit.
+    _, (equilibrium, *_), _ = run_lines(capsys, "solve", game)
+    _, optimum, _ = run_lines(capsys, "optimum", game)
+    code, lines, _ = run_lines(capsys, "poa", game)
+    assert code == 0
+    assert lines[:2] == ["equilibrium " + equilibrium, *optimum]
+
+
 def test_sweep_progressions(capsys):
     # Geometric when the second value is a multiple >= 2 of the first,
     # arithmetic otherwise.
@@ -206,19 +244,21 @@ def test_verify_marginal(capsys, tmp_path):
     assert lines == ["max violation: 1.000000"]
 
 
-def test_verify_batch_mode(capsys, tmp_path):
-    opt_path = tmp_path / "opt.json"
-    save_flow(OPTIMUM, opt_path)
-    code, lines, _ = run_lines(
-        capsys, "verify", PIGOU, str(opt_path), "--mode", "batch"
-    )
-    assert code == 0
-    assert lines == ["max violation: 0.000000"]
-
-    eq_path = tmp_path / "eq.json"
-    save_flow(SELFISH, eq_path)
-    code, _, _ = run_lines(capsys, "verify", PIGOU, str(eq_path), "--mode", "batch")
-    assert code == 1
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+@pytest.mark.parametrize("flow", ["optimum", "equilibrium", "infeasible", "overflow"])
+def test_verify_batch_mode(capsys, tmp_path, overflow_game, flow):
+    # The batch verdict is the marginal one, on any flow file.
+    game, amounts, code, lines = {
+        "optimum": (PIGOU, OPTIMUM, 0, ["max violation: 0.000000"]),
+        "equilibrium": (PIGOU, SELFISH, 1, ["max violation: 1.000000"]),
+        "infeasible": (PIGOU, Flow({("t1", 0): 0.5, ("t1", 1): 0.25}), 3, []),
+        "overflow": (overflow_game, OVERFLOW_FLOW, 1, ["max violation: nan"]),
+    }[flow]
+    path = tmp_path / "flow.json"
+    save_flow(amounts, path)
+    batch = run_lines(capsys, "verify", game, str(path), "--mode", "batch")
+    assert batch[:2] == (code, lines)
+    assert batch == run_lines(capsys, "verify", game, str(path), "--mode", "marginal")
 
 
 def test_verify_custom_tolerance(capsys, tmp_path):
@@ -551,23 +591,23 @@ def test_pigou_large_demand_round_trip_verifies(capsys, tmp_path):
     assert (code, lines) == (0, ["max violation: 0.000000"])
 
 
-def test_overflowing_solve_exits_4_at_once(capsys, tmp_path):
-    # x^16 at a load of 1e25 overflows in the first iteration.
-    path = tmp_path / "overflow.json"
-    path.write_text(
-        json.dumps(
-            {
-                "edges": [
-                    {"id": "c", "latency": {"coeffs": [1.0]}},
-                    {"id": "p", "latency": {"coeffs": [0.0] * 16 + [1.0]}},
-                ],
-                "player_types": [{"id": "t", "demand": 1e25, "strategies": [["c"], ["p"]]}],
-            }
-        )
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+def test_overflowing_solve_exits_4_at_once(capsys, tmp_path, overflow_game):
+    # Every solving command stops at the first iterate, and stderr holds
+    # the error line alone; verify prints nan and fails.
+    for command, *options in (["solve"], ["optimum"], ["poa"], ["batch", "--epsilon", "0.1"]):
+        assert run_lines(capsys, command, overflow_game, *options) == (
+            4,
+            [],
+            "error: no convergence after 0 iterations, relative gap nan\n",
+        ), command
+    path = tmp_path / "flow.json"
+    save_flow(OVERFLOW_FLOW, path)
+    assert run_lines(capsys, "verify", overflow_game, str(path)) == (
+        1,
+        ["max violation: nan"],
+        "",
     )
-    code, _, err = run_lines(capsys, "solve", str(path))
-    assert code == 4
-    assert "no convergence after 0 iterations, relative gap nan" in err
 
 
 def test_output_is_deterministic(capsys):
