@@ -18,8 +18,8 @@ projection arc (1982):
   strategy's cost, and H = D diag(l') D^T is the Hessian of the
   potential along the edge-set differences D, with l' the derivative of
   the mode latency at the current loads. When H is not positive
-  definite, its eigenvalues are floored at a small fraction of the
-  largest.
+  definite (constant latencies make it singular), it is shifted by a
+  small multiple of the identity (Nocedal and Wright 2006, 3.4).
 - The arc sets each free strategy to max(0, f + alpha d), and the basic
   strategies absorb the change; an alpha that drives a basic strategy
   below zero is rejected. The step takes the first of alpha = 1, 1/2,
@@ -78,9 +78,8 @@ MODES = ("original", "marginal")
 # blow up the stopping rule.
 EPS_DENOM = 1e-12
 
-# Eigenvalues of a reduced Hessian that is not positive definite are
-# raised to this fraction of the largest one.
-EIGEN_FLOOR = 1e-10
+# Shift of a singular reduced Hessian, as a fraction of its largest diagonal entry.
+HESSIAN_SHIFT = 1e-10
 
 # An arc step is taken once the potential falls by at least this share of
 # the decrease that the step's first-order model predicts (Armijo's rule).
@@ -160,27 +159,26 @@ def _free(
 
 def _newton_direction(hessian: np.ndarray, g: np.ndarray, reach: np.ndarray) -> np.ndarray:
     """A descent direction d for the model g.d + d.H.d / 2: the Newton
-    direction -H^-1 g when H is positive definite, else the same with
-    the eigenvalues of H floored at EIGEN_FLOOR times the largest.
+    direction -H^-1 g when H is positive definite, else -(H + tau I)^-1 g
+    with tau HESSIAN_SHIFT times the largest diagonal entry of H.
 
-    If H vanishes, the model is linear, and the direction is -g scaled
-    so that its largest component has the size of its entry of reach.
+    H = D diag(l') D^T is positive semidefinite, so it vanishes exactly
+    when that entry does; then the model is linear, and d is -g scaled so
+    that its largest component has the size of its entry of reach. A
+    non-finite H has a non-finite tau, so H + tau I has no zero pivot.
     """
+    top = hessian.diagonal().max()
+    if top == 0.0:
+        largest = np.abs(g).max()
+        return -g * (reach / largest) if largest > 0.0 else np.zeros_like(g)
     try:
         np.linalg.cholesky(hessian)  # raises unless H is positive definite
         d = -np.linalg.solve(hessian, g)
-    except np.linalg.LinAlgError:
-        pass
-    else:
         if np.isfinite(d).all() and g @ d < 0.0:
             return d
-    values, vectors = np.linalg.eigh(hessian)
-    top = values.max()
-    if not top > 0.0:
-        largest = np.abs(g).max()
-        return -g * (reach / largest) if largest > 0.0 else np.zeros_like(g)
-    values = np.maximum(values, EIGEN_FLOOR * top)
-    return -vectors @ ((vectors.T @ g) / values)
+    except np.linalg.LinAlgError:
+        pass
+    return -np.linalg.solve(hessian + HESSIAN_SHIFT * top * np.eye(len(g)), g)
 
 
 def _newton_step(
@@ -289,8 +287,10 @@ def solve(
         gaps.append(relative_gap)
         if not (math.isfinite(phi) and math.isfinite(gap)):
             raise ConvergenceError(gaps, arrays.to_flow(f))
-        if relative_gap <= params.relative_gap_tol and _worst_excess(f, excess) <= VERIFY_TOL:
-            break
+        if relative_gap <= params.relative_gap_tol:
+            violation = _worst_excess(f, excess)
+            if violation <= VERIFY_TOL:
+                break
         if iteration == params.max_iterations:
             raise ConvergenceError(gaps, arrays.to_flow(f))
         stepped = _newton_step(arrays, f, x, costs, sweep, mode)
@@ -304,7 +304,7 @@ def solve(
         relative_gap=relative_gap,
         potential_value=phi,
         social_cost_original=float(arrays.edge_costs(x).sum()),
-        equilibrium_violation=_worst_excess(f, excess),
+        equilibrium_violation=violation,
     )
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import hard_game
-from wardrop import Flow, cli
+from wardrop import Edge, Flow, Game, LatencyFunction, PlayerType, cli
 from wardrop.formats import save_flow, save_game
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -155,14 +155,22 @@ GOLDEN_COMMANDS = {
     "batch-0.01": ["batch", "--epsilon", "0.01"],
     "batch-0.001": ["batch", "--epsilon", "0.001"],
 }
+GOLDEN_GAMES = {name: FIXTURES / f"{name}.json" for name in ("pigou", "mono", "twotype")}
+# The solves of this game meet singular reduced Hessians, so they pin the
+# shifted solve of solver._newton_direction.
+GOLDEN_GAMES["singular_hessian"] = ROOT / "tests" / "data" / "singular_hessian.json"
+GOLDEN_STDOUT = [
+    (fixture, name) for fixture in ("pigou", "mono", "twotype") for name in GOLDEN_COMMANDS
+] + [("singular_hessian", name) for name in ("solve", "solve-marginal", "optimum", "poa")]
 
 
-@pytest.mark.parametrize("name", GOLDEN_COMMANDS)
-@pytest.mark.parametrize("fixture", ["pigou", "mono", "twotype"])
+@pytest.mark.parametrize(
+    "fixture,name", GOLDEN_STDOUT, ids=[f"{fixture}-{name}" for fixture, name in GOLDEN_STDOUT]
+)
 def test_fixture_stdout_matches_golden_file(capsys, fixture, name):
     command, *options = GOLDEN_COMMANDS[name]
     golden = ROOT / "tests" / "data" / "stdout" / f"{fixture}.{name}.txt"
-    assert cli.run([command, str(FIXTURES / f"{fixture}.json"), *options]) == 0
+    assert cli.run([command, str(GOLDEN_GAMES[fixture]), *options]) == 0
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
@@ -607,6 +615,27 @@ def test_overflowing_solve_exits_4_at_once(capsys, tmp_path, overflow_game):
         1,
         ["max violation: nan"],
         "",
+    )
+
+
+@pytest.mark.filterwarnings("error")
+def test_nan_hessian_solve_exits_4(capsys, tmp_path):
+    # At load 0, the derivative of 5 + 1.5e308 x^2 is inf * 0 = NaN (its
+    # coefficient 3e308 overflows), so the first step's Hessian holds NaN
+    # while the costs stay finite. No LinAlgError may escape cli.run.
+    path = tmp_path / "nan_hessian.json"
+    save_game(
+        Game(
+            edges=(Edge("u", LatencyFunction((0.0, 10.0))),
+                   Edge("c", LatencyFunction((5.0, 0.0, 1.5e308)))),
+            player_types=(PlayerType("t", 1.0, (frozenset({"u"}), frozenset({"c"}))),),
+        ),
+        path,
+    )
+    assert run_lines(capsys, "solve", str(path)) == (
+        4,
+        [],
+        "error: no convergence after 0 iterations, relative gap 1.000e+00\n",
     )
 
 

@@ -30,12 +30,13 @@ from wardrop import (
     price_of_anarchy,
     social_cost,
     solve,
+    solver,
     wardrop_gap,
 )
 from wardrop.formats import load_game
 from wardrop.model import VERIFY_TOL, is_feasible
 from wardrop.oracle import grid_search_equilibrium
-from wardrop.solver import MODES, _newton_step
+from wardrop.solver import HESSIAN_SHIFT, MODES, _newton_direction, _newton_step
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -399,6 +400,106 @@ def test_solve_singular_reduced_hessian(mode):
     result = solve(game, mode, SolverParams(relative_gap_tol=1e-12))
     assert result.relative_gap <= 1e-12
     assert wardrop_gap(game, result.flow, mode) <= 1e-9
+
+
+def shifted_direction(hessian, g):
+    """The direction of H + tau I, tau = HESSIAN_SHIFT * max diag H."""
+    shift = HESSIAN_SHIFT * hessian.diagonal().max()
+    return -np.linalg.solve(hessian + shift * np.eye(len(g)), g)
+
+
+def recorded_directions(monkeypatch):
+    """Calls of _newton_direction, as (H, g, d), from here on."""
+    calls = []
+
+    def record(hessian, g, reach):
+        d = _newton_direction(hessian, g, reach)
+        calls.append((hessian.copy(), g.copy(), d))
+        return d
+
+    monkeypatch.setattr(solver, "_newton_direction", record)
+    return calls
+
+
+def test_newton_direction_solves_a_positive_definite_hessian():
+    hessian = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    g = np.array([-1.0, 0.5, -2.0])
+    d = _newton_direction(hessian, g, np.ones(3))
+    assert np.array_equal(d, -np.linalg.solve(hessian, g))
+
+
+def test_newton_direction_shifts_a_singular_hessian():
+    # D repeats its first row, so H = D diag(l') D^T has rank 2 of 3, and
+    # the Cholesky probe meets an exact zero pivot.
+    diff = np.array([[1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+    hessian = (diff * np.array([1.0, 3.0, 5.0])) @ diff.T
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(hessian)
+    g = np.array([-1.0, -2.0, 0.5])
+    d = _newton_direction(hessian, g, np.ones(3))
+    assert np.array_equal(d, shifted_direction(hessian, g))
+    assert np.isfinite(d).all() and g @ d < 0.0
+
+
+def test_newton_direction_follows_minus_g_when_the_hessian_vanishes():
+    # The model is linear: -g, scaled so that its largest component, the
+    # second, has the size of its entry of reach.
+    g = np.array([2.0, -4.0, 1.0])
+    d = _newton_direction(np.zeros((3, 3)), g, np.array([1.0, 3.0, 8.0]))
+    assert np.array_equal(d, [-0.5, 3.0, -2.0])
+    assert np.array_equal(_newton_direction(np.zeros((2, 2)), np.zeros(2), np.ones(2)), [0, 0])
+
+
+@pytest.mark.parametrize(
+    "hessian",
+    [[[math.nan]], [[math.inf]], [[math.inf, 0.0], [0.0, 0.0]], [[math.nan, 1.0], [1.0, 2.0]]],
+)
+def test_newton_direction_of_a_non_finite_hessian_raises_nothing(hessian):
+    # np.linalg.solve raises on [[inf, 0], [0, 0]]: its LU has a zero pivot.
+    g = -np.ones(len(hessian))
+    with np.errstate(all="ignore"):
+        assert _newton_direction(np.array(hessian), g, np.ones(len(g))).shape == g.shape
+
+
+@pytest.mark.parametrize(
+    "used,cheap,demand",
+    [
+        # l' of u is inf at its load 0.9.
+        ((0.0, 0.0, 1.5e308), (1.0,), 0.9),
+        # l' of c sums inf * 0 at load 0, and is NaN. (The coefficient
+        # 2 * 1.5e308 of c's derivative overflows.)
+        ((0.0, 10.0), (5.0, 0.0, 1.5e308), 1.0),
+    ],
+    ids=["inf", "nan"],
+)
+def test_step_on_a_non_finite_hessian_ends_in_convergence_error(monkeypatch, used, cheap, demand):
+    game = Game(
+        edges=(Edge("u", LatencyFunction(used)), Edge("c", LatencyFunction(cheap))),
+        player_types=(PlayerType("t", demand, (frozenset({"u"}), frozenset({"c"}))),),
+    )
+    calls = recorded_directions(monkeypatch)
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as info:
+        solve(game, "original")
+    assert info.value.iterations == 0
+    assert not np.isfinite(calls[0][0]).all()
+
+
+def test_singular_hessian_steps_take_shifted_descent_directions(monkeypatch):
+    # Constant edges and the repeated strategy of type t0 make the reduced
+    # Hessians of this game singular.
+    game = load_game(DATA / "singular_hessian.json")
+    calls = recorded_directions(monkeypatch)
+    for mode in MODES:
+        solve(game, mode, SolverParams(relative_gap_tol=1e-12))
+    shifted = 0
+    for hessian, g, d in calls:
+        assert np.isfinite(d).all() and g @ d < 0.0
+        try:
+            np.linalg.cholesky(hessian)
+        except np.linalg.LinAlgError:
+            shifted += 1
+            assert np.array_equal(d, shifted_direction(hessian, g))
+    assert shifted > 0
 
 
 @settings(deadline=None)
