@@ -182,6 +182,11 @@ def _add_solver_options(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="wardrop",
         description="Wardrop equilibria, social optima and batch pricing "
@@ -236,19 +241,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--mode", choices=("original", "marginal"), default="original")
     p_oracle.set_defaults(func=_cmd_oracle)
 
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `run` reuses: building the subcommand tree costs about
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers `run` reuses: building the subcommand tree costs about
     twenty parses, so it is built once, on first use."""
-    return build_parser()
+    return _build_parsers()
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """argv parsed as the top-level parser would, in one pass: a command's
+    arguments go straight to its own parser. Anything that does not start
+    with a command name, help included, goes to the top-level parser."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        # The top-level parser reports what the command left, as its own
+        # parse_args would.
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

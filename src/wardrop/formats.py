@@ -145,7 +145,7 @@ def load_game(path: str | Path) -> Game:
     FormatError on schema mismatch, and GameValidationError listing every
     structural violation; a text that fails is never kept.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     game = _games.get(text)
     if game is not None:
         _games.move_to_end(text)
@@ -160,8 +160,21 @@ def load_game(path: str | Path) -> Game:
     return game
 
 
+def _read_text(path: str | Path) -> str:
+    # open() rather than Path.read_text: the same text mode and newline
+    # handling, without building a Path on every command.
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+def _write_text(text: str, path: str | Path) -> None:
+    # open() rather than Path.write_text, as in _read_text.
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
 def _write_json(document: dict[str, Any], path: str | Path) -> None:
-    Path(path).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    _write_text(json.dumps(document, indent=2) + "\n", path)
 
 
 def save_game(game: Game, path: str | Path) -> None:
@@ -174,7 +187,7 @@ def load_flow(path: str | Path, game: Game) -> Flow:
     Raises FormatError for schema problems, references to unknown types
     or strategies, duplicate entries, or negative or non-finite amounts.
     """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = json.loads(_read_text(path))
     try:
         entries = _list(data["amounts"], "amounts")
     except (KeyError, TypeError) as exc:
@@ -236,8 +249,7 @@ def _amounts_text(flow: Flow) -> str:
 
 
 def save_flow(flow: Flow, path: str | Path) -> None:
-    text = f'{{\n  "amounts": {_amounts_text(flow)}\n}}\n'
-    Path(path).write_text(text, encoding="utf-8")
+    _write_text(f'{{\n  "amounts": {_amounts_text(flow)}\n}}\n', path)
 
 
 def save_solve_result(result: SolveResult, path: str | Path) -> None:
@@ -249,7 +261,7 @@ def save_solve_result(result: SolveResult, path: str | Path) -> None:
         f'    "social_cost_original": {_float_text(result.social_cost_original)}\n'
         "  }\n}\n"
     )
-    Path(path).write_text(text, encoding="utf-8")
+    _write_text(text, path)
 
 
 def save_batch_report_csv(report: BatchReport, path: str | Path) -> None:

@@ -319,6 +319,18 @@ class _GameArrays:
         ):
             array.flags.writeable = False
 
+    @cached_property
+    def cold_start(self) -> np.ndarray:
+        """The solver's start in both modes, read-only: each type's demand
+        on its cheapest strategy at zero loads, ties toward the lowest
+        index. At zero load every latency is its constant coefficient,
+        which the marginal transform multiplies by 1, so both modes pick
+        the same flow bit for bit; a game solved twice builds it once."""
+        zero = np.zeros(self.incidence.shape[1])
+        f = self.all_or_nothing(self.strategy_costs(zero, "original"))
+        f.flags.writeable = False
+        return f
+
     def flow_vector(self, flow: Flow) -> np.ndarray:
         f = np.zeros(len(self.keys))
         for (type_id, index), amount in flow.amounts.items():

@@ -266,8 +266,7 @@ def solve(
         raise GameValidationError(report)
     arrays = game._arrays
     if initial_flow is None:
-        zero = np.zeros(len(game.edges))
-        f = arrays.all_or_nothing(arrays.strategy_costs(zero, mode))
+        f = arrays.cold_start
     else:
         try:
             f = arrays.feasible_vector(initial_flow)

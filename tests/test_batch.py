@@ -243,20 +243,22 @@ def test_batch_sweep_rejects_infeasible_flow_and_bad_counts(pigou):
 
 
 def test_batch_sweep_memory_is_bounded_on_long_count_lists():
-    # 50 000 counts on a 30-edge game of degree up to 4 peak at about
-    # 32 MB when priced in blocks, and at about 128 MB in a single block.
-    game = large_game(3, n_edges=30, n_types=6, n_strategies=4)
+    # 3000 counts on a 300-edge game of degree up to 4 peak at about
+    # 18 MB when priced in blocks, and at about 50 MB in a single block.
+    # Tracing costs about a microsecond per priced (count, edge) value,
+    # so the game is wide and the list short: five blocks of 699 counts.
+    game = large_game(3, n_types=6, n_strategies=4)
     flow = random_feasible_flow(game, np.random.default_rng(3))
-    counts = range(1, 100_001, 2)
+    counts = range(1, 6001, 2)
     tracemalloc.start()
     try:
         rows = batch_sweep(game, flow, counts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 32 * 2**20
     assert len(rows) == len(counts)
-    for k in (0, 1, 4321, 25_000, len(counts) - 1):
+    for k in (0, 1, 698, 699, 2000, len(counts) - 1):
         n, cost, gap = rows[k]
         report = batch_social_cost(game, flow, BatchSystem.uniform(game, n))
         assert (n, cost, gap) == (counts[k], report.total_batch_cost, report.total_gap)

@@ -357,6 +357,31 @@ def test_parse_error_reaches_the_current_stderr(capsys):
     assert "must be positive and finite, got 0" in err
 
 
+# Help and usage errors as cli.run printed them while argparse parsed
+# every argv twice, top level and subcommand: exit code, stdout, stderr.
+USAGE = json.loads((ROOT / "tests" / "data" / "usage.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", USAGE, ids=[case["id"] for case in USAGE])
+def test_usage_output_matches_golden(capsys, monkeypatch, case):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    code = cli.run(case["argv"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["code"], case["out"], case["err"])
+
+
+def test_file_errors_name_the_path_as_given(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert run_lines(capsys, "solve", "./missing.json") == (
+        3, [], "error: [Errno 2] No such file or directory: './missing.json'\n"
+    )
+    # A trailing slash asks for a directory, so a game file named so is not read.
+    assert run_lines(capsys, "solve", PIGOU + "/") == (
+        3, [], f"error: [Errno 20] Not a directory: '{PIGOU}/'\n"
+    )
+
+
 def test_build_parser_returns_a_new_parser():
     assert cli.build_parser() is not cli.build_parser()
 

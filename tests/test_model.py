@@ -206,6 +206,19 @@ def test_edge_loads_total_is_per_type_sum():
         assert view.loads(f) == pytest.approx(parts, rel=1e-12, abs=1e-15)
 
 
+def test_cold_start_is_the_all_or_nothing_flow_at_zero_loads_in_both_modes():
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        view = random_game(rng)._arrays
+        zero = np.zeros(view.incidence.shape[1])
+        for mode in ("original", "marginal"):
+            start = view.all_or_nothing(view.strategy_costs(zero, mode))
+            assert start.tobytes() == view.cold_start.tobytes()
+        assert view.cold_start is view.cold_start
+        with pytest.raises(ValueError, match="read-only"):
+            view.cold_start[0] = 1.0
+
+
 def test_edge_loads_unknown_type(pigou):
     with pytest.raises(ValueError, match="unknown player type"):
         pigou._arrays.flow_vector(Flow({("nope", 0): 1.0}))

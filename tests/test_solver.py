@@ -191,6 +191,22 @@ def test_solve_accepts_initial_flow(pigou):
     assert result.social_cost_original == pytest.approx(1.0, abs=1e-9)
 
 
+def test_solve_starts_from_initial_flow_rather_than_the_cold_start():
+    # Two roads of constant cost 1: every split is an equilibrium and an
+    # optimum, so a solve returns its start unchanged.
+    game = Game(
+        edges=(Edge("a", LatencyFunction((1.0,))), Edge("b", LatencyFunction((1.0,)))),
+        player_types=(PlayerType("t", 1.0, (frozenset({"a"}), frozenset({"b"}))),),
+    )
+    cold = Flow({("t", 0): 1.0, ("t", 1): 0.0})
+    split = Flow({("t", 0): 0.25, ("t", 1): 0.75})
+    for mode in MODES:
+        assert solve(game, mode).flow == cold
+        result = solve(game, mode, initial_flow=split)
+        assert (result.iterations, result.flow) == (0, split)
+        assert solve(game, mode).flow == cold
+
+
 def test_solve_rejects_infeasible_initial_flow(pigou):
     with pytest.raises(ValueError, match="infeasible"):
         solve(pigou, "original", initial_flow=Flow({("t1", 0): 0.2}))
@@ -243,7 +259,8 @@ def test_solve_stops_on_non_finite_iterate():
         ),
         player_types=(PlayerType("t", 1e25, (frozenset({"c"}), frozenset({"p"}))),),
     )
-    with pytest.raises(ConvergenceError) as info:
+    # numpy warns of the overflow, and of the NaN that inf - inf makes.
+    with pytest.warns(RuntimeWarning), pytest.raises(ConvergenceError) as info:
         solve(game, "original")
     assert info.value.iterations == 0
     assert math.isnan(info.value.relative_gap)
