@@ -3,7 +3,6 @@ variable-delay batch pricing mechanism."""
 
 from .batch import (
     BatchEdgeReport,
-    BatchEquilibrium,
     BatchReport,
     BatchSystem,
     MechanismError,
@@ -12,7 +11,6 @@ from .batch import (
     batch_sweep,
     mechanism_pipeline,
     select_batch_system,
-    verify_batch_equilibrium,
 )
 from .formats import FormatError, load_flow, load_game, save_flow, save_game
 from .latency import MAX_DEGREE, LatencyFunction
@@ -42,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BatchEdgeReport",
-    "BatchEquilibrium",
     "BatchReport",
     "BatchSystem",
     "ConvergenceError",
@@ -74,6 +71,5 @@ __all__ = [
     "social_cost",
     "solve",
     "validate_game",
-    "verify_batch_equilibrium",
     "wardrop_gap",
 ]

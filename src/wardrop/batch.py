@@ -12,10 +12,9 @@ batch_sweep prices a flow under a whole list of uniform counts in one
 array pass: the flow is checked and loaded once, and every count's
 factors go through one Horner evaluation of the marginal bank.
 select_batch_system inverts the Riemann error bound to hit any requested
-total overshoot, and verify_batch_equilibrium checks the induced game's
-equilibrium condition at its worst case. Loads, plain edge costs and
-marginal latencies of a whole flow come from the game's vector view
-(model._GameArrays).
+total overshoot, and mechanism_pipeline checks that the priced optimum
+is a batch equilibrium. Loads, plain edge costs and marginal latencies
+of a whole flow come from the game's vector view (model._GameArrays).
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import EPS_USE, VERIFY_TOL, Flow, Game, _GameArrays
-from .solver import SolverParams, SolveResult, _solve_pair, wardrop_gap
+from .solver import SolverParams, SolveResult, _solve_pair
 
 #: Coefficients (counts x edges x polynomial width) that batch_sweep
 #: prices in one array pass; 2**20 float64 values are 8 MB per array.
@@ -72,18 +71,11 @@ class BatchReport:
 
 
 @dataclass(frozen=True)
-class BatchEquilibrium:
-    is_equilibrium: bool
-    max_violation: float
-
-
-@dataclass(frozen=True)
 class MechanismReport:
     epsilon: float
     optimum: SolveResult
     batch_system: BatchSystem
     batch_report: BatchReport
-    equilibrium: BatchEquilibrium
     selfish_cost: float
     price_of_anarchy: float | None
 
@@ -254,40 +246,29 @@ def select_batch_system(game: Game, flow: Flow, epsilon: float) -> BatchSystem:
     return BatchSystem(counts)
 
 
-def verify_batch_equilibrium(
-    game: Game, flow: Flow, batch_system: BatchSystem, tol: float = VERIFY_TOL
-) -> BatchEquilibrium:
-    """Check the batch equilibrium condition at its worst case.
-
-    The binding instance of the condition is the last batch b_e = N_e on
-    the current strategy, where the batch latency equals the full-load
-    marginal-cost latency; deviations always pay full load. The verdict
-    is therefore independent of the batch counts, and the worst
-    violation is the marginal-mode Wardrop gap, read from the same
-    vector view as every other equilibrium check.
-    """
-    worst = wardrop_gap(game, flow, "marginal")
-    _check_cover(game, batch_system)
-    return BatchEquilibrium(is_equilibrium=worst <= tol, max_violation=worst)
-
-
 def mechanism_pipeline(
     game: Game, epsilon: float, params: SolverParams | None = None
 ) -> MechanismReport:
     """Solve for the social optimum and the equilibrium, pick batch counts
-    for epsilon, price the optimum, and verify both guarantees.
+    for epsilon, price the optimum, and check both guarantees.
 
-    Raises MechanismError if the verified batch equilibrium fails or the
+    The optimum is a batch equilibrium exactly when it is a marginal-mode
+    Wardrop equilibrium, whatever the batch counts: the binding batch on
+    a used edge is its last one, which pays the full-load marginal-cost
+    latency, and a deviation always pays full load. So the check reads
+    the optimum's own worst used excess, SolveResult.equilibrium_violation.
+
+    Raises MechanismError if that excess is above VERIFY_TOL or the
     realized cost overshoot exceeds epsilon; both indicate a solver or
     selection defect rather than bad input.
     """
     optimum, selfish, ratio = _solve_pair(game, params)
     batch_system = select_batch_system(game, optimum.flow, epsilon)
     report = batch_social_cost(game, optimum.flow, batch_system)
-    check = verify_batch_equilibrium(game, optimum.flow, batch_system)
-    if not check.is_equilibrium:
+    if optimum.equilibrium_violation > VERIFY_TOL:
         raise MechanismError(
-            f"solved optimum is not a batch equilibrium (violation {check.max_violation:.3e})"
+            "solved optimum is not a batch equilibrium "
+            f"(violation {optimum.equilibrium_violation:.3e})"
         )
     if report.total_gap > epsilon:
         raise MechanismError(
@@ -298,7 +279,6 @@ def mechanism_pipeline(
         optimum=optimum,
         batch_system=batch_system,
         batch_report=report,
-        equilibrium=check,
         selfish_cost=selfish.social_cost_original,
         price_of_anarchy=ratio,
     )

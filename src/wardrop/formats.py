@@ -14,9 +14,9 @@ json.dumps(flow_to_dict(flow), indent=2) would give.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
-from collections import OrderedDict
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
@@ -33,10 +33,6 @@ class FormatError(ValueError):
 
 #: How many games load_game keeps, keyed by the full text they came from.
 GAME_CACHE_SIZE = 4
-
-# Valid games built from the last GAME_CACHE_SIZE distinct texts, least
-# recently used first.
-_games: OrderedDict[str, Game] = OrderedDict()
 
 
 # The checks below take the field's path as a format template plus its
@@ -145,18 +141,15 @@ def load_game(path: str | Path) -> Game:
     FormatError on schema mismatch, and GameValidationError listing every
     structural violation; a text that fails is never kept.
     """
-    text = _read_text(path)
-    game = _games.get(text)
-    if game is not None:
-        _games.move_to_end(text)
-        return game
+    return _game_from_text(_read_text(path))
+
+
+@functools.lru_cache(maxsize=GAME_CACHE_SIZE)
+def _game_from_text(text: str) -> Game:
     game = game_from_dict(json.loads(text))
     report = validate_game(game)
     if report:
         raise GameValidationError(report)
-    _games[text] = game
-    if len(_games) > GAME_CACHE_SIZE:
-        _games.popitem(last=False)
     return game
 
 

@@ -24,9 +24,9 @@ from wardrop import (
     select_batch_system,
     social_cost,
     solve,
-    verify_batch_equilibrium,
     wardrop_gap,
 )
+from wardrop.model import VERIFY_TOL
 from wardrop.oracle import exhaustive_batch_verify, riemann_check
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -312,35 +312,12 @@ def test_select_respects_budget_on_random_games():
 
 
 def test_verify_batch_equilibrium_examples(pigou):
-    optimum = verify_batch_equilibrium(
-        pigou, OPTIMUM, select_batch_system(pigou, OPTIMUM, 0.1)
-    )
-    assert optimum.is_equilibrium
-    assert optimum.max_violation == 0.0
-
-    check = verify_batch_equilibrium(pigou, SELFISH, BatchSystem.uniform(pigou, 1))
-    assert not check.is_equilibrium
-    assert check.max_violation == 1.0
-
-
-def test_verify_tolerance_is_inclusive(pigou):
-    check = verify_batch_equilibrium(
-        pigou, SELFISH, BatchSystem.uniform(pigou, 1), tol=1.0
-    )
-    assert check.max_violation == 1.0
-    assert check.is_equilibrium
-
-
-def test_verify_matches_marginal_wardrop_gap_exactly():
-    # The worst batch pays the full marginal latency, so the mechanism check
-    # must reduce to the marginal equilibrium gap bit for bit.
-    rng = np.random.default_rng(42)
-    for _ in range(40):
-        game = random_game(rng)
-        flow = random_feasible_flow(game, rng)
-        system = random_batch_system(game, rng)
-        check = verify_batch_equilibrium(game, flow, system)
-        assert check.max_violation == wardrop_gap(game, flow, "marginal")
+    # The batch verdict is the marginal gap's, under any batch counts.
+    for system in (select_batch_system(pigou, OPTIMUM, 0.1), BatchSystem.uniform(pigou, 1)):
+        assert exhaustive_batch_verify(pigou, OPTIMUM, system)
+        assert not exhaustive_batch_verify(pigou, SELFISH, system)
+    assert wardrop_gap(pigou, OPTIMUM, "marginal") == 0.0
+    assert wardrop_gap(pigou, SELFISH, "marginal") == 1.0
 
 
 def test_verify_agrees_with_exhaustive_search():
@@ -349,8 +326,8 @@ def test_verify_agrees_with_exhaustive_search():
         game = random_game(rng, max_edges=3, max_types=2)
         flow = random_feasible_flow(game, rng)
         system = random_batch_system(game, rng, max_count=3)
-        check = verify_batch_equilibrium(game, flow, system)
-        assert exhaustive_batch_verify(game, flow, system) == check.is_equilibrium
+        verdict = wardrop_gap(game, flow, "marginal") <= VERIFY_TOL
+        assert exhaustive_batch_verify(game, flow, system) == verdict
 
 
 def test_mechanism_pipeline_pigou(pigou):
@@ -358,7 +335,7 @@ def test_mechanism_pipeline_pigou(pigou):
     assert report.epsilon == 0.1
     assert report.batch_system.counts == {"e1": 1, "e2": 10}
     assert report.batch_report.total_gap == pytest.approx(0.025, rel=1e-9)
-    assert report.equilibrium.is_equilibrium
+    assert report.optimum.equilibrium_violation <= VERIFY_TOL
     assert report.optimal_cost == pytest.approx(0.75, rel=1e-9)
     assert report.selfish_cost == pytest.approx(1.0, rel=1e-9)
     assert report.price_of_anarchy == pytest.approx(4.0 / 3.0, rel=1e-6)
@@ -403,7 +380,7 @@ def test_mechanism_pipeline_budget_on_random_games():
             game, report.optimum.flow
         )
         assert overhead <= 0.05 + 1e-12
-        assert report.equilibrium.is_equilibrium
+        assert report.optimum.equilibrium_violation <= VERIFY_TOL
 
 
 def test_batch_cost_never_below_original():

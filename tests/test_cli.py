@@ -272,8 +272,10 @@ def test_verify_batch_mode(capsys, tmp_path, overflow_game, flow):
 def test_verify_custom_tolerance(capsys, tmp_path):
     mixed_path = tmp_path / "mixed.json"
     save_flow(OPTIMUM, mixed_path)
-    code, _, _ = run_lines(capsys, "verify", PIGOU, str(mixed_path), "--tol", "0.6")
-    assert code == 0
+    # The mixed flow's violation is exactly 0.5, so the bound is inclusive.
+    for tol in ("0.6", "0.5"):
+        code, _, _ = run_lines(capsys, "verify", PIGOU, str(mixed_path), "--tol", tol)
+        assert code == 0, tol
 
 
 @pytest.mark.parametrize("mode", ["marginal", "batch"])
@@ -426,10 +428,28 @@ def test_non_finite_option_exits_2(capsys, argv):
         assert f"must be positive and finite, got {value}" in err
 
 
-def test_missing_file_exits_3(capsys):
-    code, _, err = run_lines(capsys, "solve", "/no/such/game.json")
-    assert code == 3
-    assert err.startswith("error:")
+MISSING = "/no/such/game.json"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", MISSING],
+        ["optimum", MISSING],
+        ["poa", MISSING],
+        ["batch", MISSING, "--epsilon", "0.1"],
+        ["sweep", MISSING, "--n-list", "1,2"],
+        ["verify", MISSING, PIGOU],
+        ["verify", PIGOU, "/no/such/flow.json"],
+        ["oracle", MISSING],
+    ],
+    ids=["solve", "optimum", "poa", "batch", "sweep", "verify-game", "verify-flow", "oracle"],
+)
+def test_missing_file_exits_3(capsys, argv):
+    code, lines, err = run_lines(capsys, *argv)
+    assert (code, lines) == (3, [])
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: [Errno 2] No such file or directory: '/no/such/")
 
 
 def test_truncated_json_exits_3(capsys, tmp_path):
@@ -596,7 +616,8 @@ def test_batch_tight_epsilon_is_fast(capsys, tmp_path):
     elapsed = time.perf_counter() - start
     assert code == 0
     assert lines[1].startswith("edge e2: N=1000000000000 ")
-    total = list(csv.reader(report_path.open()))[-1]
+    with report_path.open(newline="") as handle:
+        total = list(csv.reader(handle))[-1]
     assert total[0] == "TOTAL"
     assert 0.0 < float(total[-1]) <= 1e-12
     assert elapsed < 1.0

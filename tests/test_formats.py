@@ -2,7 +2,6 @@ import csv
 import json
 import math
 import re
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -227,8 +226,10 @@ def test_load_game_rejects_invalid_game(tmp_path):
 
 @pytest.fixture
 def empty_game_cache(monkeypatch):
-    """load_game with no texts loaded yet, and a count of view builds."""
-    monkeypatch.setattr(formats, "_games", OrderedDict())
+    """load_game with no texts loaded yet, and a count of view builds.
+    The cache is emptied again afterwards, so no game built with the
+    counting view reaches a later test."""
+    formats._game_from_text.cache_clear()
     builds = []
 
     class CountingArrays(model._GameArrays):
@@ -237,7 +238,8 @@ def empty_game_cache(monkeypatch):
             super().__init__(game)
 
     monkeypatch.setattr(model, "_GameArrays", CountingArrays)
-    return builds
+    yield builds
+    formats._game_from_text.cache_clear()
 
 
 def test_load_game_reuses_unchanged_text(tmp_path, empty_game_cache):
@@ -281,7 +283,7 @@ def test_load_game_raises_for_a_bad_text_on_every_call(tmp_path, empty_game_cach
     for _ in range(2):
         with pytest.raises(GameValidationError, match="negative demand"):
             load_game(path)
-    assert list(formats._games) == []
+    assert formats._game_from_text.cache_info().currsize == 0
     write_json(path, pigou_document(demand=1.0))
     assert load_game(path).player_types[0].demand == 1.0
 

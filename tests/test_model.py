@@ -24,7 +24,6 @@ from wardrop import (
     social_cost,
     solve,
     validate_game,
-    verify_batch_equilibrium,
     wardrop_gap,
 )
 from wardrop.model import FEASIBILITY_TOL
@@ -349,9 +348,6 @@ FLOW_CALLERS = {
     ),
     "batch_sweep": (lambda g, f: batch_sweep(g, f, [1, 2]), "infeasible flow"),
     "select_batch_system": (lambda g, f: select_batch_system(g, f, 0.01), "infeasible flow"),
-    "verify_batch_equilibrium": (
-        lambda g, f: verify_batch_equilibrium(g, f, BatchSystem.uniform(g, 1)), "infeasible flow"
-    ),
     "exhaustive_batch_verify": (
         lambda g, f: exhaustive_batch_verify(g, f, BatchSystem.uniform(g, 1)), "infeasible flow"
     ),

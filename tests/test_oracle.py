@@ -12,8 +12,9 @@ from wardrop import (
     batch_social_cost,
     social_cost,
     solve,
-    verify_batch_equilibrium,
+    wardrop_gap,
 )
+from wardrop.model import VERIFY_TOL
 from wardrop.oracle import (
     exhaustive_batch_verify,
     finite_difference,
@@ -187,13 +188,11 @@ def test_exhaustive_agrees_with_verifier_on_fixture(pigou):
     optimum = Flow({("t1", 0): 0.5, ("t1", 1): 0.5})
     system = BatchSystem({"e1": 1, "e2": 10})
     assert exhaustive_batch_verify(pigou, optimum, system)
-    assert verify_batch_equilibrium(pigou, optimum, system).is_equilibrium
+    assert wardrop_gap(pigou, optimum, "marginal") <= VERIFY_TOL
 
     selfish = Flow({("t1", 0): 0.0, ("t1", 1): 1.0})
     assert not exhaustive_batch_verify(pigou, selfish, BatchSystem.uniform(pigou, 1))
-    assert not verify_batch_equilibrium(
-        pigou, selfish, BatchSystem.uniform(pigou, 1)
-    ).is_equilibrium
+    assert wardrop_gap(pigou, selfish, "marginal") > VERIFY_TOL
 
 
 def test_exhaustive_agrees_with_verifier_on_random_small_games():
@@ -205,7 +204,7 @@ def test_exhaustive_agrees_with_verifier_on_random_small_games():
         flows = [solve(game, "marginal").flow, random_feasible_flow(game, rng)]
         system = BatchSystem({e.id: int(rng.integers(1, 4)) for e in game.edges})
         for flow in flows:
-            verdict = verify_batch_equilibrium(game, flow, system).is_equilibrium
+            verdict = wardrop_gap(game, flow, "marginal") <= VERIFY_TOL
             assert exhaustive_batch_verify(game, flow, system) == verdict
 
 
