@@ -18,6 +18,7 @@ from wardrop import (
     PlayerType,
     batch_social_cost,
     batch_sweep,
+    cli,
     load_game,
     mechanism_pipeline,
     price_of_anarchy,
@@ -26,6 +27,7 @@ from wardrop import (
     solve,
     wardrop_gap,
 )
+from wardrop.formats import save_flow
 from wardrop.model import VERIFY_TOL
 from wardrop.oracle import exhaustive_batch_verify, riemann_check
 
@@ -318,6 +320,17 @@ def test_verify_batch_equilibrium_examples(pigou):
         assert not exhaustive_batch_verify(pigou, SELFISH, system)
     assert wardrop_gap(pigou, OPTIMUM, "marginal") == 0.0
     assert wardrop_gap(pigou, SELFISH, "marginal") == 1.0
+
+
+def test_verify_tolerance_is_inclusive(pigou, tmp_path, capsys):
+    # The selfish flow's batch violation is exactly 1.0, so tol=1.0 accepts it.
+    path = tmp_path / "selfish.json"
+    save_flow(SELFISH, path)
+    code = cli.run(["verify", str(FIXTURES / "pigou.json"), str(path),
+                    "--mode", "batch", "--tol", "1.0"])
+    assert capsys.readouterr().out.splitlines() == ["max violation: 1.000000"]
+    assert code == 0
+    assert exhaustive_batch_verify(pigou, SELFISH, BatchSystem.uniform(pigou, 1), tol=1.0)
 
 
 def test_verify_agrees_with_exhaustive_search():
