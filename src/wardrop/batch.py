@@ -13,8 +13,8 @@ array pass: the flow is checked and loaded once, and every count's
 factors go through one Horner evaluation of the marginal bank.
 select_batch_system inverts the Riemann error bound to hit any requested
 total overshoot, and mechanism_pipeline checks that the priced optimum
-is a batch equilibrium. Loads, plain edge costs and marginal latencies
-of a whole flow come from the game's vector view (model._GameArrays).
+meets it. Loads, plain edge costs and marginal latencies of a whole
+flow come from the game's vector view (model._GameArrays).
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import EPS_USE, VERIFY_TOL, Flow, Game, _GameArrays
+from .model import EPS_USE, Flow, Game, _GameArrays, _horner
 from .solver import SolverParams, SolveResult, _solve_pair
 
-#: Coefficients (counts x edges x polynomial width) that batch_sweep
+#: Coefficients (polynomial width x counts x edges) that batch_sweep
 #: prices in one array pass; 2**20 float64 values are 8 MB per array.
 SWEEP_BLOCK_FLOATS = 1 << 20
 
@@ -150,16 +150,16 @@ def _price(
     sums of nonnegative terms. Power sums are computed once per distinct
     count, and all K rows go through one Horner pass.
     """
-    bank = view.coeff_banks["marginal"]
-    width = bank.shape[-1]
+    bank = view.banks["marginal"][:, 0]
+    width = len(bank)
     index = {n: i for i, n in enumerate({n for row in counts for n in row})}
     factors = [_riemann_factors(n, width) for n in index]
     ratio = np.array([f[0] for f in factors]).reshape(-1, width)
     excess = np.array([f[1] for f in factors]).reshape(-1, width)
     rows = np.array([[index[n] for n in row] for row in counts], dtype=np.intp)
     return (
-        view.edge_values(bank * ratio[rows], x) * x,
-        view.edge_values(bank * excess[rows], x) * x,
+        _horner(bank[:, None] * ratio.T[:, rows], x)[0] * x,
+        _horner(bank[:, None] * excess.T[:, rows], x)[0] * x,
     )
 
 
@@ -207,7 +207,7 @@ def batch_sweep(
     counts = [_check_count(n) for n in counts]
     order = [k for _, k in sorted(view.edge_index.items())]
     distinct = list(dict.fromkeys(counts))
-    step = max(1, SWEEP_BLOCK_FLOATS // max(1, view.coeff_banks["marginal"].size))
+    step = max(1, SWEEP_BLOCK_FLOATS // max(1, view.banks["marginal"][:, 0].size))
     totals: dict[int, tuple[float, float]] = {}
     for start in range(0, len(distinct), step):
         block = distinct[start : start + step]
@@ -229,8 +229,8 @@ def select_batch_system(game: Game, flow: Flow, epsilon: float) -> BatchSystem:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     view = game._arrays
     x = view.loads(view.feasible_vector(flow))
-    marginal = view.coeff_banks["marginal"]
-    span = view.edge_values(marginal, x) - marginal[:, 0]
+    marginal = view.banks["marginal"][:, 0]
+    span = _horner(marginal, x)[0] - marginal[0]
     loaded = x > EPS_USE
     budget = epsilon / max(1, int(np.count_nonzero(loaded)))
     # A tiny epsilon can overflow a count to inf; that is reported below.
@@ -250,26 +250,21 @@ def mechanism_pipeline(
     game: Game, epsilon: float, params: SolverParams | None = None
 ) -> MechanismReport:
     """Solve for the social optimum and the equilibrium, pick batch counts
-    for epsilon, price the optimum, and check both guarantees.
+    for epsilon, price the optimum, and check the overshoot.
 
     The optimum is a batch equilibrium exactly when it is a marginal-mode
     Wardrop equilibrium, whatever the batch counts: the binding batch on
     a used edge is its last one, which pays the full-load marginal-cost
-    latency, and a deviation always pays full load. So the check reads
-    the optimum's own worst used excess, SolveResult.equilibrium_violation.
+    latency, and a deviation always pays full load. solve returns only
+    an optimum whose worst used excess, SolveResult.equilibrium_violation,
+    is at most VERIFY_TOL, so every optimum priced here is one.
 
-    Raises MechanismError if that excess is above VERIFY_TOL or the
-    realized cost overshoot exceeds epsilon; both indicate a solver or
-    selection defect rather than bad input.
+    Raises MechanismError if the realized cost overshoot exceeds
+    epsilon, which indicates a selection defect rather than bad input.
     """
     optimum, selfish, ratio = _solve_pair(game, params)
     batch_system = select_batch_system(game, optimum.flow, epsilon)
     report = batch_social_cost(game, optimum.flow, batch_system)
-    if optimum.equilibrium_violation > VERIFY_TOL:
-        raise MechanismError(
-            "solved optimum is not a batch equilibrium "
-            f"(violation {optimum.equilibrium_violation:.3e})"
-        )
     if report.total_gap > epsilon:
         raise MechanismError(
             f"batch cost overshoot {report.total_gap:.3e} exceeds epsilon {epsilon:.3e}"

@@ -66,18 +66,14 @@ class PlayerType:
     multiplicities: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        canonical: list[frozenset[str]] = []
-        counts: list[int] = []
+        # Each distinct edge set and its count, in first-seen order.
+        counts: dict[frozenset[str], int] = {}
         for strategy in self.strategies:
             members = frozenset(strategy)
-            if members in canonical:
-                counts[canonical.index(members)] += 1
-            else:
-                canonical.append(members)
-                counts.append(1)
+            counts[members] = counts.get(members, 0) + 1
         object.__setattr__(self, "demand", float(self.demand))
-        object.__setattr__(self, "strategies", tuple(canonical))
-        object.__setattr__(self, "multiplicities", tuple(counts))
+        object.__setattr__(self, "strategies", tuple(counts))
+        object.__setattr__(self, "multiplicities", tuple(counts.values()))
 
 
 @dataclass(frozen=True)
@@ -232,15 +228,34 @@ def _check_game(game: Game) -> list[Violation]:
                 violations.append(
                     Violation(f"player_types[{k}].strategies[{s}]", "empty strategy")
                 )
-            for edge_id in sorted(strategy):
-                if edge_id not in seen_edge_ids:
-                    violations.append(
-                        Violation(
-                            f"player_types[{k}].strategies[{s}]",
-                            f"unknown edge id '{edge_id}'",
-                        )
+            for edge_id in sorted(strategy - seen_edge_ids):
+                violations.append(
+                    Violation(
+                        f"player_types[{k}].strategies[{s}]", f"unknown edge id '{edge_id}'"
                     )
+                )
     return violations
+
+
+def _horner(bank: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Horner's rule over the first axis of bank, which holds coefficients
+    lowest power first, at x, with every partial sum kept.
+
+    [0] is the value and [1:] are the coefficients of the quotient by
+    (y - x). x broadcasts against each bank[j], so a stack of banks
+    along the other axes evaluates in one pass, each entry bit for bit
+    as its own polynomial alone.
+    """
+    # np.empty, not empty_like: a strided bank would give strided rows,
+    # and a product with a strided row rounds differently.
+    partial = np.empty(bank.shape)
+    # partial[j] = partial[j + 1] * x + bank[j], from 0 * x + bank[-1].
+    np.multiply(x, 0.0, out=partial[-1])
+    partial[-1] += bank[-1]
+    for j in range(len(bank) - 2, -1, -1):
+        np.multiply(partial[j + 1], x, out=partial[j])
+        partial[j] += bank[j]
+    return partial
 
 
 class _GameArrays:
@@ -253,14 +268,14 @@ class _GameArrays:
     which reductions read as a sentinel entry past the end of the vector.
     row_range and type_range are the row and type indices in order.
 
-    Loads are flow @ incidence. Latency coefficients are padded into one
-    matrix per mode, so a whole load vector evaluates in one Horner
-    sweep; the leading zeros of the padding are exact, so every entry
-    equals the scalar Horner value of its own polynomial. Each mode's
-    latency, derivative and integral coefficients are stacked in one
-    array, banks[mode], of shape (width, 3, edges), which sweep()
-    evaluates in one pass; coeff_banks[mode] is the (edges, width) view
-    of its latency rows.
+    Loads are flow @ incidence. Each mode's latency, derivative and
+    integral coefficients are padded into one array, banks[mode], of
+    shape (width, 3, edges): coefficient first, lowest power first, so
+    banks[mode][:, 0] is the mode's latency bank. Every polynomial is
+    evaluated by _horner over that first axis, a whole load vector at
+    once; the zeros of the padding are exact, so every entry equals the
+    scalar Horner value of its own polynomial. sweep() evaluates the
+    three banks of a mode in one pass.
 
     Every array is read-only: the view lives as long as its Game, which
     load_game hands to every caller that loads the same text.
@@ -312,7 +327,6 @@ class _GameArrays:
         banks[:, :, 2] = latency / powers
         banks.flags.writeable = False
         self.banks = {"original": banks[0], "marginal": banks[1]}
-        self.coeff_banks = {mode: bank[:, 0].T for mode, bank in self.banks.items()}
         for array in (
             self.demand, self.type_range, self.row_range, self.owner, self.slots,
             self.incidence,
@@ -344,17 +358,19 @@ class _GameArrays:
             f[row] = amount
         return f
 
-    def feasible_vector(self, flow: Flow, tol: float = FEASIBILITY_TOL) -> np.ndarray:
+    def feasible_vector(self, flow: Flow) -> np.ndarray:
         """flow_vector of a feasible flow: amounts nonnegative, on existing
         strategies, and each type's summing (in row order) to its demand
-        within tol. Raises ValueError("infeasible flow") otherwise."""
+        within FEASIBILITY_TOL. Raises ValueError("infeasible flow")
+        otherwise."""
         try:
             f = self.flow_vector(flow)
         except ValueError:
             raise ValueError("infeasible flow") from None
         sums = np.bincount(self.owner, f, minlength=len(self.demand))
         # min and max propagate NaN, which fails both comparisons.
-        if not (f.min(initial=0.0) >= 0 and np.abs(sums - self.demand).max(initial=0.0) <= tol):
+        worst = np.abs(sums - self.demand).max(initial=0.0)
+        if not (f.min(initial=0.0) >= 0 and worst <= FEASIBILITY_TOL):
             raise ValueError("infeasible flow")
         return f
 
@@ -368,68 +384,39 @@ class _GameArrays:
         start, stop = self.spans[type_id]
         return f[start:stop] @ self.incidence[start:stop]
 
-    def edge_values(self, bank: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Horner evaluation of each edge's polynomial at its load.
-
-        The last axis of bank holds the coefficients and the one before
-        it the edges, so a stack of banks of shape (K, E, w) gives K rows
-        of E values, each equal to what its own (E, w) bank gives.
-        """
-        acc = np.zeros(bank.shape[:-1])
-        for j in range(bank.shape[-1] - 1, -1, -1):
-            acc *= x
-            acc += bank[..., j]
-        return acc
-
     def edge_costs(self, x: np.ndarray) -> np.ndarray:
         """Per-edge cost l_e(x_e) * x_e."""
-        return self.edge_values(self.coeff_banks["original"], x) * x
+        return _horner(self.banks["original"][:, 0], x)[0] * x
 
     def strategy_costs(self, x: np.ndarray, mode: str) -> np.ndarray:
-        return self.incidence @ self.edge_values(self.coeff_banks[mode], x)
+        return self.incidence @ _horner(self.banks[mode][:, 0], x)[0]
 
     def sweep(self, x: np.ndarray, mode: str) -> np.ndarray:
-        """Horner's sweep of the mode's stacked banks at loads x, with every
-        partial sum kept: shape (width, 3, edges).
+        """_horner of the mode's stacked banks at loads x: shape
+        (width, 3, edges).
 
         Its first entry holds the values at x: row 0 the latencies, row 1
         their derivatives and row 2 the integral bank, whose value times x
-        is the edge's potential term. The partial sums of a bank at x are
-        the coefficients of its quotient by (y - x), so those of the
-        integral bank, [:, 2], are the quotient that potential_change
-        evaluates. Every value row is contiguous and equals edge_values
-        of its own bank at x, bit for bit.
+        is the edge's potential term. The partial sums of the integral
+        bank, [:, 2], are the quotient that potential_change evaluates.
         """
-        bank = self.banks[mode]
-        partial = np.empty_like(bank)
-        # acc = acc * x + bank[j], from acc = 0, in place.
-        np.multiply(x, 0.0, out=partial[-1])
-        partial[-1] += bank[-1]
-        for j in range(len(bank) - 2, -1, -1):
-            np.multiply(partial[j + 1], x, out=partial[j])
-            partial[j] += bank[j]
-        return partial
+        return _horner(self.banks[mode], x)
 
     def potential(self, x: np.ndarray, mode: str) -> float:
         return float(x @ self.sweep(x, mode)[0, 2])
 
-    def potential_change(
-        self, x: np.ndarray, dx: np.ndarray, mode: str, quotient: np.ndarray | None = None
-    ) -> float:
+    def potential_change(self, x: np.ndarray, dx: np.ndarray, quotient: np.ndarray) -> float:
         """The potential at loads x + dx minus that at x, as
         sum_e dx_e * P_e[x_e, x_e + dx_e], with P_e[a, b] the divided
-        difference of edge e's integral polynomial P_e.
+        difference of edge e's potential term P_e(y) = y * I_e(y), I_e
+        its integral bank, and quotient sweep(x, mode)[:, 2].
 
-        Horner's sweep of P_e at a leaves, as its partial sums, the
-        coefficients of the quotient of P_e by (y - a), and the quotient
-        at b is P_e[a, b]. At nonnegative loads both sweeps add
-        nonnegative parts, so no term cancels, however small dx is.
-        quotient, when given, is sweep(x, mode)[:, 2], which the solver
-        has already made for its iterate.
+        Every partial sum of I_e at a is a coefficient of the quotient of
+        P_e by (y - a), and that quotient at b is P_e[a, b]. At
+        nonnegative loads both Horner passes add nonnegative parts, so no
+        term cancels, however small dx is.
         """
-        if quotient is None:
-            quotient = self.sweep(x, mode)[:, 2]
-        return float(dx @ self.edge_values(quotient.T, x + dx))
+        return float(dx @ _horner(quotient, x + dx)[0])
 
     def excess(self, costs: np.ndarray) -> np.ndarray:
         """Each strategy's cost minus the cheapest cost of its type."""
@@ -453,11 +440,11 @@ class _GameArrays:
         return f[:-1]
 
 
-def is_feasible(game: Game, flow: Flow, tol: float = FEASIBILITY_TOL) -> bool:
+def is_feasible(game: Game, flow: Flow) -> bool:
     """True iff all amounts are nonnegative, reference existing strategies,
-    and each type's amounts sum to its demand within tol."""
+    and each type's amounts sum to its demand within FEASIBILITY_TOL."""
     try:
-        game._arrays.feasible_vector(flow, tol)
+        game._arrays.feasible_vector(flow)
     except ValueError:
         return False
     return True
@@ -474,5 +461,5 @@ def player_cost(game: Game, flow: Flow, type_id: str) -> float:
     game.player_type(type_id)  # raises for an unknown type
     view = game._arrays
     f = view.feasible_vector(flow)
-    latencies = view.edge_values(view.coeff_banks["original"], view.loads(f))
+    latencies = _horner(view.banks["original"][:, 0], view.loads(f))[0]
     return float(latencies @ view.type_loads(f, type_id))

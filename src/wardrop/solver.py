@@ -27,8 +27,11 @@ projection arc (1982):
   fall alpha g.d that the model predicts. The fall is summed edge by
   edge from divided differences (_GameArrays.potential_change), because
   near the optimum the difference of two potentials is lost to rounding.
-  Once alpha is so small that the step moves no mass, the flow stays,
-  and so would every later step from it.
+  Once alpha is so small that the step moves no mass, an unshifted
+  direction is replaced by the shifted one and the arc tried once more:
+  a nearly singular H can pass the Cholesky probe with a direction whose
+  predicted fall is lost to rounding. After that the flow stays, and so
+  would every later step from it.
 
 Every step is a descent step, so the potential decreases monotonically.
 The loop stops on the relative gap sum f * (cost - cheapest cost of its
@@ -46,11 +49,12 @@ optimum.
 The loop, the potential and the equilibrium gap all read the game's
 vector view, model._GameArrays, which also owns the per-type layout of
 the flow vector and its per-type reductions. Each iterate makes one
-Horner sweep of its loads (_GameArrays.sweep) through the mode's
-latency, derivative and integral banks at once. Its values give the
-strategy costs, the Hessian's l' and the potential; its integral
-partial sums are the quotient bank that every Armijo trial of the step
-evaluates, so a trial costs one Horner pass.
+Horner pass of its loads (_GameArrays.sweep) through the mode's
+latency, derivative and integral banks, which share one layout,
+coefficient first. Its values, sweep[0], give the strategy costs, the
+Hessian's l' and the potential; its integral partial sums, sweep[:, 2],
+are a bank in that same layout, the quotient that every Armijo trial of
+the step evaluates, so a trial costs one Horner pass.
 """
 
 from __future__ import annotations
@@ -117,11 +121,10 @@ class ConvergenceError(RuntimeError):
 
     gaps holds the relative gap of every iterate from the first to the
     failing one, so iterations is one less than its length and
-    relative_gap is its last entry. flow is the last iterate, when the
-    solver had one.
+    relative_gap is its last entry. flow is the last iterate.
     """
 
-    def __init__(self, gaps: Sequence[float], flow: Flow | None = None):
+    def __init__(self, gaps: Sequence[float], flow: Flow):
         self.gaps = tuple(gaps)
         self.iterations = len(self.gaps) - 1
         self.relative_gap = self.gaps[-1]
@@ -157,42 +160,48 @@ def _free(
     return np.flatnonzero(free), base[free]
 
 
-def _newton_direction(hessian: np.ndarray, g: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """A descent direction d for the model g.d + d.H.d / 2: the Newton
-    direction -H^-1 g when H is positive definite, else -(H + tau I)^-1 g
-    with tau HESSIAN_SHIFT times the largest diagonal entry of H.
+def _newton_direction(
+    hessian: np.ndarray, g: np.ndarray, reach: np.ndarray
+) -> tuple[np.ndarray, bool]:
+    """A descent direction d for the model g.d + d.H.d / 2, and whether it
+    is the Newton direction -H^-1 g, which it is when the Cholesky probe
+    finds H positive definite and that direction descends; else d is
+    _shifted_direction(H, g).
 
     H = D diag(l') D^T is positive semidefinite, so it vanishes exactly
-    when that entry does; then the model is linear, and d is -g scaled so
-    that its largest component has the size of its entry of reach. A
-    non-finite H has a non-finite tau, so H + tau I has no zero pivot.
+    when its largest diagonal entry does; then the model is linear, and
+    d is -g scaled so that its largest component has the size of its
+    entry of reach.
     """
     top = hessian.diagonal().max()
     if top == 0.0:
         largest = np.abs(g).max()
-        return -g * (reach / largest) if largest > 0.0 else np.zeros_like(g)
+        return (-g * (reach / largest) if largest > 0.0 else np.zeros_like(g)), False
     try:
         np.linalg.cholesky(hessian)  # raises unless H is positive definite
         d = -np.linalg.solve(hessian, g)
         if np.isfinite(d).all() and g @ d < 0.0:
-            return d
+            return d, True
     except np.linalg.LinAlgError:
         pass
-    return -np.linalg.solve(hessian + HESSIAN_SHIFT * top * np.eye(len(g)), g)
+    return _shifted_direction(hessian, g), False
+
+
+def _shifted_direction(hessian: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """-(H + tau I)^-1 g, with tau HESSIAN_SHIFT times the largest
+    diagonal entry of a nonzero H. A non-finite H has a non-finite tau,
+    so H + tau I has no zero pivot."""
+    tau = HESSIAN_SHIFT * hessian.diagonal().max()
+    return -np.linalg.solve(hessian + tau * np.eye(len(g)), g)
 
 
 def _newton_step(
-    arrays: _GameArrays,
-    f: np.ndarray,
-    x: np.ndarray,
-    costs: np.ndarray,
-    sweep: np.ndarray,
-    mode: str,
+    arrays: _GameArrays, f: np.ndarray, x: np.ndarray, costs: np.ndarray, sweep: np.ndarray
 ) -> np.ndarray:
     """One projected Newton step along the projection arc from the flow
     vector f, whose loads are x, whose strategy costs in the mode are
-    costs and whose Horner sweep is arrays.sweep(x, mode). Returns f
-    itself when no step moves any mass."""
+    costs and whose Horner sweep in the mode is arrays.sweep(x, mode).
+    Returns f itself when no step moves any mass."""
     rows, base = _free(arrays, f, costs)
     mass = f[rows]
     g = costs[rows] - costs[base]
@@ -204,30 +213,37 @@ def _newton_step(
     active = (g > 0.0) & (mass * (curved * diff).sum(axis=1) <= g)
     d = -mass
     newton = np.flatnonzero(~active)
+    exact = False
     if newton.size:
         hessian = curved[newton] @ diff[newton].T
-        d[newton] = _newton_direction(hessian, g[newton], f[base[newton]])
-    descent = float(g @ d)
-    if not -math.inf < descent < 0.0:  # no descent, or d is not finite
-        return f
+        d[newton], exact = _newton_direction(hessian, g[newton], f[base[newton]])
     quotient = sweep[:, 2]
     floor = -mass
     used = f > 0.0
-    alpha = 1.0
     while True:
-        change = np.maximum(alpha * d, floor)
-        step = np.zeros_like(f)
-        step[rows] = change
-        step -= np.bincount(base, weights=change, minlength=len(f))
-        stepped = f + step
-        if not (stepped != f)[used].any():
-            return f  # the step no longer moves any mass: it is below rounding
-        if stepped.min() >= 0.0 and (
-            arrays.potential_change(x, arrays.loads(step), mode, quotient)
-            <= ARMIJO * alpha * descent
-        ):
-            return stepped
-        alpha *= 0.5
+        descent = float(g @ d)
+        if not -math.inf < descent < 0.0:  # no descent, or d is not finite
+            return f
+        alpha = 1.0
+        while True:
+            change = np.maximum(alpha * d, floor)
+            step = np.zeros_like(f)
+            step[rows] = change
+            step -= np.bincount(base, weights=change, minlength=len(f))
+            stepped = f + step
+            if not (stepped != f)[used].any():
+                break  # the step no longer moves any mass: it is below rounding
+            if stepped.min() >= 0.0 and (
+                arrays.potential_change(x, arrays.loads(step), quotient)
+                <= ARMIJO * alpha * descent
+            ):
+                return stepped
+            alpha *= 0.5
+        if not exact:
+            return f
+        # The probe passed a nearly singular H (see the module docstring).
+        d[newton] = _shifted_direction(hessian, g[newton])
+        exact = False
 
 
 def potential(game: Game, flow: Flow, mode: str) -> float:
@@ -292,7 +308,7 @@ def solve(
                 break
         if iteration == params.max_iterations:
             raise ConvergenceError(gaps, arrays.to_flow(f))
-        stepped = _newton_step(arrays, f, x, costs, sweep, mode)
+        stepped = _newton_step(arrays, f, x, costs, sweep)
         if stepped is f:  # no mass moved, so no later step would move any
             raise ConvergenceError(gaps, arrays.to_flow(f))
         f = stepped

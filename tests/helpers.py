@@ -103,7 +103,7 @@ def loads_by_edge(game: Game, flow: Flow) -> dict[str, float]:
     return dict(zip(game.edge_ids, view.loads(view.flow_vector(flow)).tolist()))
 
 
-def reference_is_feasible(game: Game, flow: Flow, tol: float = FEASIBILITY_TOL) -> bool:
+def reference_is_feasible(game: Game, flow: Flow) -> bool:
     """The dict loop that is_feasible ran before it went through the
     vector view. One difference: each type's amounts are summed in
     strategy order, as the view sums its rows, where the loop summed them
@@ -119,6 +119,6 @@ def reference_is_feasible(game: Game, flow: Flow, tol: float = FEASIBILITY_TOL) 
         for s in range(len(ptype.strategies)):
             if (ptype.id, s) in flow.amounts:
                 total += flow.amounts[(ptype.id, s)]
-        if not abs(total - ptype.demand) <= tol:
+        if not abs(total - ptype.demand) <= FEASIBILITY_TOL:
             return False
     return True

@@ -28,7 +28,7 @@ from wardrop import (
     wardrop_gap,
 )
 from wardrop.formats import save_flow
-from wardrop.model import VERIFY_TOL
+from wardrop.model import VERIFY_TOL, _horner
 from wardrop.oracle import exhaustive_batch_verify, riemann_check
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -65,11 +65,11 @@ def test_batch_latency_values(pigou):
     # Batch b of N pays the marginal latency at b/N of the load: 2x on e2
     # and the constant 1 on e1.
     view = pigou._arrays
-    marginal = view.coeff_banks["marginal"]
+    marginal = view.banks["marginal"][:, 0]
     x = np.array([0.5, 0.5])
-    assert view.edge_values(marginal, 1 / 1 * x)[1] == 1.0
-    assert view.edge_values(marginal, 3 / 10 * x)[1] == pytest.approx(0.3, rel=1e-12)
-    assert view.edge_values(marginal, 2 / 5 * x)[0] == 1.0
+    assert _horner(marginal, 1 / 1 * x)[0, 1] == 1.0
+    assert _horner(marginal, 3 / 10 * x)[0, 1] == pytest.approx(0.3, rel=1e-12)
+    assert _horner(marginal, 2 / 5 * x)[0, 0] == 1.0
     # One batch pays the full-load latency on all of the load.
     report = batch_social_cost(pigou, OPTIMUM, BatchSystem.uniform(pigou, 1))
     assert [row.batch_cost for row in report.per_edge.values()] == [0.5 * 1.0, 0.5 * 1.0]
@@ -246,7 +246,7 @@ def test_batch_sweep_rejects_infeasible_flow_and_bad_counts(pigou):
 
 def test_batch_sweep_memory_is_bounded_on_long_count_lists():
     # 3000 counts on a 300-edge game of degree up to 4 peak at about
-    # 18 MB when priced in blocks, and at about 50 MB in a single block.
+    # 25 MB when priced in blocks, and at about 78 MB in a single block.
     # Tracing costs about a microsecond per priced (count, edge) value,
     # so the game is wide and the list short: five blocks of 699 counts.
     game = large_game(3, n_types=6, n_strategies=4)

@@ -26,7 +26,6 @@ from wardrop import (
     validate_game,
     wardrop_gap,
 )
-from wardrop.model import FEASIBILITY_TOL
 from wardrop.oracle import exhaustive_batch_verify
 
 
@@ -254,7 +253,6 @@ def test_is_feasible_rejects_wrong_total(pigou):
 def test_is_feasible_tolerance_is_absolute(pigou):
     assert is_feasible(pigou, Flow({("t1", 0): 0.5, ("t1", 1): 0.5 + 5e-10}))
     assert not is_feasible(pigou, Flow({("t1", 0): 0.5, ("t1", 1): 0.5 + 5e-9}))
-    assert is_feasible(pigou, Flow({("t1", 0): 0.5, ("t1", 1): 0.5 + 5e-9}), 1e-8)
 
 
 def test_is_feasible_rejects_unknown_reference(pigou):
@@ -318,11 +316,10 @@ def near_feasible_flows(draw):
     return game, Flow(dict(draw(st.permutations(list(amounts.items())))))
 
 
-@given(case=near_feasible_flows(), tol=st.sampled_from([FEASIBILITY_TOL, 1e-8, 0.0]))
-def test_is_feasible_matches_dict_loop(case, tol):
+@given(case=near_feasible_flows())
+def test_is_feasible_matches_dict_loop(case):
     game, flow = case
     assert is_feasible(game, flow) == reference_is_feasible(game, flow)
-    assert is_feasible(game, flow, tol) == reference_is_feasible(game, flow, tol)
 
 
 BAD_FLOWS = {
@@ -445,9 +442,10 @@ def test_potential_change_matches_polynomial_difference():
             exact = sum(
                 np.polyval(p, a + d) - np.polyval(p, a) for p, a, d in zip(integrals, x, dx)
             )
-            change = view.potential_change(x, dx, mode)
+            quotient = view.sweep(x, mode)[:, 2]
+            change = view.potential_change(x, dx, quotient)
             assert change == pytest.approx(exact, rel=1e-12, abs=1e-12)
-            assert view.potential_change(x, np.zeros_like(x), mode) == 0.0
+            assert view.potential_change(x, np.zeros_like(x), quotient) == 0.0
 
 
 def test_potential_change_keeps_the_sign_below_rounding(pigou):
@@ -458,7 +456,8 @@ def test_potential_change_keeps_the_sign_below_rounding(pigou):
     x = np.array([0.5, 0.5])
     dx = np.array([-1e-20, 1e-20])
     assert view.potential(x + dx, "original") - view.potential(x, "original") == 0.0
-    assert view.potential_change(x, dx, "original") == pytest.approx(-5e-21, rel=1e-12)
+    quotient = view.sweep(x, "original")[:, 2]
+    assert view.potential_change(x, dx, quotient) == pytest.approx(-5e-21, rel=1e-12)
 
 
 # Loads at which the sweep is pinned: zero, subnormals, large, and any.
@@ -491,6 +490,11 @@ def quotient_by_columns(bank, x):
     return quotient
 
 
+def value_by_columns(bank, x):
+    """The value of an (edges, width) bank at x, as a contiguous row."""
+    return quotient_by_columns(bank, x)[:, 0].copy()
+
+
 @given(case=sweep_cases())
 def test_sweep_rows_equal_their_own_banks_bit_for_bit(case):
     game, x, y = case
@@ -508,13 +512,12 @@ def test_sweep_rows_equal_their_own_banks_bit_for_bit(case):
         sweep = view.sweep(x, mode)
         for row, bank in zip(sweep[0], (latency, derivative, integral)):
             assert row.flags.c_contiguous
-            assert row.tobytes() == view.edge_values(bank, x).tobytes()
+            assert row.tobytes() == value_by_columns(bank, x).tobytes()
         quotient = quotient_by_columns(integral, x)
         assert sweep[:, 2].T.tobytes() == quotient.tobytes()
-        by_columns = float(dx @ view.edge_values(quotient, x + dx))
-        change = view.potential_change(x, dx, mode, sweep[:, 2])
+        by_columns = float(dx @ value_by_columns(quotient, x + dx))
+        change = view.potential_change(x, dx, sweep[:, 2])
         assert change.hex() == by_columns.hex()
-        assert view.potential_change(x, dx, mode).hex() == by_columns.hex()
 
 
 def test_validate_game_checks_once_and_returns_a_new_list(monkeypatch):
@@ -539,5 +542,5 @@ def test_view_arrays_are_read_only(pigou):
     for value in vars(view).values():
         values += value.values() if isinstance(value, dict) else [value]
     arrays = [value for value in values if isinstance(value, np.ndarray)]
-    assert len(arrays) >= 10
+    assert len(arrays) >= 8
     assert not any(array.flags.writeable for array in arrays)

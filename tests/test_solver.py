@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -69,7 +69,7 @@ def newton_step(game, flow, mode):
     f = view.flow_vector(flow)
     x = view.loads(f)
     sweep = view.sweep(x, mode)
-    return view.to_flow(_newton_step(view, f, x, view.strategy_costs(x, mode), sweep, mode))
+    return view.to_flow(_newton_step(view, f, x, view.strategy_costs(x, mode), sweep))
 
 
 def test_solver_params_validation():
@@ -430,9 +430,9 @@ def recorded_directions(monkeypatch):
     calls = []
 
     def record(hessian, g, reach):
-        d = _newton_direction(hessian, g, reach)
+        d, exact = _newton_direction(hessian, g, reach)
         calls.append((hessian.copy(), g.copy(), d))
-        return d
+        return d, exact
 
     monkeypatch.setattr(solver, "_newton_direction", record)
     return calls
@@ -441,8 +441,8 @@ def recorded_directions(monkeypatch):
 def test_newton_direction_solves_a_positive_definite_hessian():
     hessian = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
     g = np.array([-1.0, 0.5, -2.0])
-    d = _newton_direction(hessian, g, np.ones(3))
-    assert np.array_equal(d, -np.linalg.solve(hessian, g))
+    d, exact = _newton_direction(hessian, g, np.ones(3))
+    assert exact and np.array_equal(d, -np.linalg.solve(hessian, g))
 
 
 def test_newton_direction_shifts_a_singular_hessian():
@@ -453,8 +453,8 @@ def test_newton_direction_shifts_a_singular_hessian():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(hessian)
     g = np.array([-1.0, -2.0, 0.5])
-    d = _newton_direction(hessian, g, np.ones(3))
-    assert np.array_equal(d, shifted_direction(hessian, g))
+    d, exact = _newton_direction(hessian, g, np.ones(3))
+    assert not exact and np.array_equal(d, shifted_direction(hessian, g))
     assert np.isfinite(d).all() and g @ d < 0.0
 
 
@@ -462,9 +462,10 @@ def test_newton_direction_follows_minus_g_when_the_hessian_vanishes():
     # The model is linear: -g, scaled so that its largest component, the
     # second, has the size of its entry of reach.
     g = np.array([2.0, -4.0, 1.0])
-    d = _newton_direction(np.zeros((3, 3)), g, np.array([1.0, 3.0, 8.0]))
-    assert np.array_equal(d, [-0.5, 3.0, -2.0])
-    assert np.array_equal(_newton_direction(np.zeros((2, 2)), np.zeros(2), np.ones(2)), [0, 0])
+    d, exact = _newton_direction(np.zeros((3, 3)), g, np.array([1.0, 3.0, 8.0]))
+    assert not exact and np.array_equal(d, [-0.5, 3.0, -2.0])
+    d, exact = _newton_direction(np.zeros((2, 2)), np.zeros(2), np.ones(2))
+    assert not exact and np.array_equal(d, [0, 0])
 
 
 @pytest.mark.parametrize(
@@ -475,7 +476,7 @@ def test_newton_direction_of_a_non_finite_hessian_raises_nothing(hessian):
     # np.linalg.solve raises on [[inf, 0], [0, 0]]: its LU has a zero pivot.
     g = -np.ones(len(hessian))
     with np.errstate(all="ignore"):
-        assert _newton_direction(np.array(hessian), g, np.ones(len(g))).shape == g.shape
+        assert _newton_direction(np.array(hessian), g, np.ones(len(g)))[0].shape == g.shape
 
 
 @pytest.mark.parametrize(
@@ -521,6 +522,10 @@ def test_singular_hessian_steps_take_shifted_descent_directions(monkeypatch):
 
 @settings(deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+# At iterate 4 of its equilibrium, the Cholesky probe accepts a reduced
+# Hessian with eigenvalues from 1.8e-15 to 21.7, and no step along the
+# Newton direction lowers the potential.
+@example(seed=375299)
 def test_solve_random_games_converge_within_100_steps(seed):
     # random_game includes degree-0 edges, so singular Hessians are common.
     game = random_game(np.random.default_rng(seed))
