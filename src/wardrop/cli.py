@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import formats, oracle
+from . import formats, oracle, solver
 from .batch import MechanismError, batch_sweep, mechanism_pipeline
 from .model import VERIFY_TOL, Game, GameValidationError, social_cost
 from .solver import ConvergenceError, SolverParams, _solve_pair, potential, solve, wardrop_gap
@@ -189,7 +189,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
 
     p_solve = sub.add_parser("solve", help="compute an equilibrium or optimum flow")
     p_solve.add_argument("game")
-    p_solve.add_argument("--mode", choices=("original", "marginal"), default="original")
+    p_solve.add_argument("--mode", choices=solver.MODES, default="original")
     p_solve.add_argument("--out", default=None, help="write the flow as JSON")
     _add_solver_options(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
@@ -231,17 +231,15 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p_oracle = sub.add_parser("oracle", help="brute-force equilibrium by grid search")
     p_oracle.add_argument("game")
     p_oracle.add_argument("--resolution", type=_positive_float, default=1e-3)
-    p_oracle.add_argument("--mode", choices=("original", "marginal"), default="original")
+    p_oracle.add_argument("--mode", choices=solver.MODES, default="original")
     p_oracle.set_defaults(func=_cmd_oracle)
 
     return parser, sub.choices
 
 
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parsers `run` reuses: building the subcommand tree costs about
-    twenty parses, so it is built once, on first use."""
-    return _build_parsers()
+# The parsers `run` reuses: building the subcommand tree costs about
+# twenty parses, so it is built once, on first use.
+_parsers = functools.cache(_build_parsers)
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:

@@ -166,12 +166,8 @@ def _write_text(text: str, path: str | Path) -> None:
         handle.write(text)
 
 
-def _write_json(document: dict[str, Any], path: str | Path) -> None:
-    _write_text(json.dumps(document, indent=2) + "\n", path)
-
-
 def save_game(game: Game, path: str | Path) -> None:
-    _write_json(game_to_dict(game), path)
+    _write_text(json.dumps(game_to_dict(game), indent=2) + "\n", path)
 
 
 def load_flow(path: str | Path, game: Game) -> Flow:

@@ -274,8 +274,12 @@ class _GameArrays:
     banks[mode][:, 0] is the mode's latency bank. Every polynomial is
     evaluated by _horner over that first axis, a whole load vector at
     once; the zeros of the padding are exact, so every entry equals the
-    scalar Horner value of its own polynomial. sweep() evaluates the
-    three banks of a mode in one pass.
+    scalar Horner value of its own polynomial. _horner(banks[mode], x)
+    evaluates the three banks of a mode at loads x in one pass. Its first
+    entry holds the values at x: row 0 the latencies, row 1 their
+    derivatives and row 2 the integral bank, whose value times x is the
+    edge's potential term. The partial sums of the integral bank, [:, 2],
+    are the quotient that potential_change evaluates.
 
     Every array is read-only: the view lives as long as its Game, which
     load_game hands to every caller that loads the same text.
@@ -391,25 +395,11 @@ class _GameArrays:
     def strategy_costs(self, x: np.ndarray, mode: str) -> np.ndarray:
         return self.incidence @ _horner(self.banks[mode][:, 0], x)[0]
 
-    def sweep(self, x: np.ndarray, mode: str) -> np.ndarray:
-        """_horner of the mode's stacked banks at loads x: shape
-        (width, 3, edges).
-
-        Its first entry holds the values at x: row 0 the latencies, row 1
-        their derivatives and row 2 the integral bank, whose value times x
-        is the edge's potential term. The partial sums of the integral
-        bank, [:, 2], are the quotient that potential_change evaluates.
-        """
-        return _horner(self.banks[mode], x)
-
-    def potential(self, x: np.ndarray, mode: str) -> float:
-        return float(x @ self.sweep(x, mode)[0, 2])
-
     def potential_change(self, x: np.ndarray, dx: np.ndarray, quotient: np.ndarray) -> float:
         """The potential at loads x + dx minus that at x, as
         sum_e dx_e * P_e[x_e, x_e + dx_e], with P_e[a, b] the divided
         difference of edge e's potential term P_e(y) = y * I_e(y), I_e
-        its integral bank, and quotient sweep(x, mode)[:, 2].
+        its integral bank, and quotient _horner(banks[mode], x)[:, 2].
 
         Every partial sum of I_e at a is a coefficient of the quotient of
         P_e by (y - a), and that quotient at b is P_e[a, b]. At

@@ -17,9 +17,14 @@ projection arc (1982):
   reduced Newton system H d = -g: g is their cost minus their basic
   strategy's cost, and H = D diag(l') D^T is the Hessian of the
   potential along the edge-set differences D, with l' the derivative of
-  the mode latency at the current loads. When H is not positive
-  definite (constant latencies make it singular), it is shifted by a
-  small multiple of the identity (Nocedal and Wright 2006, 3.4).
+  the mode latency at the current loads. The step tries its directions
+  in one order (_directions): the Newton direction, when the Cholesky
+  probe finds H positive definite and the direction descends, then that
+  of H shifted by a small multiple of the identity (Nocedal and Wright
+  2006, 3.4). Constant latencies make H singular, so the probe fails;
+  a nearly singular H can pass it with a direction whose predicted fall
+  is lost to rounding, so the shifted one follows. When H vanishes, the
+  model is linear and -g is the only direction.
 - The arc sets each free strategy to max(0, f + alpha d), and the basic
   strategies absorb the change; an alpha that drives a basic strategy
   below zero is rejected. The step takes the first of alpha = 1, 1/2,
@@ -27,19 +32,17 @@ projection arc (1982):
   fall alpha g.d that the model predicts. The fall is summed edge by
   edge from divided differences (_GameArrays.potential_change), because
   near the optimum the difference of two potentials is lost to rounding.
-  Once alpha is so small that the step moves no mass, an unshifted
-  direction is replaced by the shifted one and the arc tried once more:
-  a nearly singular H can pass the Cholesky probe with a direction whose
-  predicted fall is lost to rounding. After that the flow stays, and so
-  would every later step from it.
+  Once alpha is so small that the step moves no mass, the next direction
+  is tried. When none is left, or a direction does not descend, the flow
+  stays, and so would every later step from it.
 
 Every step is a descent step, so the potential decreases monotonically.
 The loop stops on the relative gap sum f * (cost - cheapest cost of its
 type) over |potential|, summed over all strategies: a sum of
 nonnegative terms, equal to the linearized improvement over the
-all-or-nothing flow. It fails with ConvergenceError when the budget runs
-out, a step moves no mass, or the gap or the potential stops being
-finite.
+all-or-nothing flow. Otherwise the loop ends, and the solve fails with
+ConvergenceError, when the budget runs out, a step moves no mass, or
+the gap or the potential stops being finite.
 
 Mode "original" prices edges by their latency and yields a Wardrop
 equilibrium; mode "marginal" prices them by the marginal-cost transform,
@@ -49,8 +52,8 @@ optimum.
 The loop, the potential and the equilibrium gap all read the game's
 vector view, model._GameArrays, which also owns the per-type layout of
 the flow vector and its per-type reductions. Each iterate makes one
-Horner pass of its loads (_GameArrays.sweep) through the mode's
-latency, derivative and integral banks, which share one layout,
+Horner pass of its loads (model._horner) through the mode's latency,
+derivative and integral banks, banks[mode], which share one layout,
 coefficient first. Its values, sweep[0], give the strategy costs, the
 Hessian's l' and the potential; its integral partial sums, sweep[:, 2],
 are a bank in that same layout, the quotient that every Armijo trial of
@@ -61,7 +64,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +76,7 @@ from .model import (
     Game,
     GameValidationError,
     _GameArrays,
+    _horner,
     validate_game,
 )
 
@@ -160,48 +164,46 @@ def _free(
     return np.flatnonzero(free), base[free]
 
 
-def _newton_direction(
-    hessian: np.ndarray, g: np.ndarray, reach: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """A descent direction d for the model g.d + d.H.d / 2, and whether it
-    is the Newton direction -H^-1 g, which it is when the Cholesky probe
-    finds H positive definite and that direction descends; else d is
-    _shifted_direction(H, g).
+def _directions(hessian: np.ndarray, g: np.ndarray, reach: np.ndarray) -> Iterator[np.ndarray]:
+    """The directions d that a step may try for the model g.d + d.H.d / 2,
+    best first, each solved for only once the one before it has failed.
 
     H = D diag(l') D^T is positive semidefinite, so it vanishes exactly
-    when its largest diagonal entry does; then the model is linear, and
-    d is -g scaled so that its largest component has the size of its
-    entry of reach.
+    when its largest diagonal entry does. Then the model is linear, and
+    the only direction is -g scaled so that its largest component has the
+    size of its entry of reach. Otherwise the first is the Newton
+    direction -H^-1 g, when the Cholesky probe finds H positive definite
+    and that direction descends, and the last is -(H + tau I)^-1 g, with
+    tau HESSIAN_SHIFT times the largest diagonal entry. A non-finite H
+    has a non-finite tau, so H + tau I has no zero pivot.
     """
     top = hessian.diagonal().max()
     if top == 0.0:
         largest = np.abs(g).max()
-        return (-g * (reach / largest) if largest > 0.0 else np.zeros_like(g)), False
+        yield -g * (reach / largest) if largest > 0.0 else np.zeros_like(g)
+        return
     try:
         np.linalg.cholesky(hessian)  # raises unless H is positive definite
         d = -np.linalg.solve(hessian, g)
         if np.isfinite(d).all() and g @ d < 0.0:
-            return d, True
+            yield d
     except np.linalg.LinAlgError:
         pass
-    return _shifted_direction(hessian, g), False
-
-
-def _shifted_direction(hessian: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """-(H + tau I)^-1 g, with tau HESSIAN_SHIFT times the largest
-    diagonal entry of a nonzero H. A non-finite H has a non-finite tau,
-    so H + tau I has no zero pivot."""
-    tau = HESSIAN_SHIFT * hessian.diagonal().max()
-    return -np.linalg.solve(hessian + tau * np.eye(len(g)), g)
+    yield -np.linalg.solve(hessian + HESSIAN_SHIFT * top * np.eye(len(g)), g)
 
 
 def _newton_step(
     arrays: _GameArrays, f: np.ndarray, x: np.ndarray, costs: np.ndarray, sweep: np.ndarray
 ) -> np.ndarray:
     """One projected Newton step along the projection arc from the flow
-    vector f, whose loads are x, whose strategy costs in the mode are
-    costs and whose Horner sweep in the mode is arrays.sweep(x, mode).
-    Returns f itself when no step moves any mass."""
+    vector f, at loads x, with strategy costs costs and Horner sweep
+    _horner(arrays.banks[mode], x) in the mode.
+
+    The step tries the directions of _directions in turn and returns the
+    first arc flow that passes Armijo's test. It returns f itself, having
+    moved no mass, when a direction does not descend or when the arc of
+    every direction stops moving mass before it passes.
+    """
     rows, base = _free(arrays, f, costs)
     mass = f[rows]
     g = costs[rows] - costs[base]
@@ -213,14 +215,17 @@ def _newton_step(
     active = (g > 0.0) & (mass * (curved * diff).sum(axis=1) <= g)
     d = -mass
     newton = np.flatnonzero(~active)
-    exact = False
-    if newton.size:
-        hessian = curved[newton] @ diff[newton].T
-        d[newton], exact = _newton_direction(hessian, g[newton], f[base[newton]])
+    # Without Newton rows, the only direction is the eps-active one.
+    directions = (
+        _directions(curved[newton] @ diff[newton].T, g[newton], f[base[newton]])
+        if newton.size
+        else [d[newton]]
+    )
     quotient = sweep[:, 2]
     floor = -mass
     used = f > 0.0
-    while True:
+    for direction in directions:
+        d[newton] = direction
         descent = float(g @ d)
         if not -math.inf < descent < 0.0:  # no descent, or d is not finite
             return f
@@ -239,11 +244,7 @@ def _newton_step(
             ):
                 return stepped
             alpha *= 0.5
-        if not exact:
-            return f
-        # The probe passed a nearly singular H (see the module docstring).
-        d[newton] = _shifted_direction(hessian, g[newton])
-        exact = False
+    return f
 
 
 def potential(game: Game, flow: Flow, mode: str) -> float:
@@ -252,7 +253,8 @@ def potential(game: Game, flow: Flow, mode: str) -> float:
     mode this equals the social cost of the flow."""
     _check_mode(mode)
     view = game._arrays
-    return view.potential(view.loads(view.feasible_vector(flow)), mode)
+    x = view.loads(view.feasible_vector(flow))
+    return float(x @ _horner(view.banks[mode], x)[0, 2])
 
 
 def solve(
@@ -292,7 +294,7 @@ def solve(
     gaps: list[float] = []
     for iteration in range(params.max_iterations + 1):
         x = arrays.loads(f)
-        sweep = arrays.sweep(x, mode)
+        sweep = _horner(arrays.banks[mode], x)
         latencies, _, integrals = sweep[0]
         costs = arrays.incidence @ latencies
         excess = arrays.excess(costs)
@@ -301,26 +303,25 @@ def solve(
         relative_gap = gap / max(abs(phi), EPS_DENOM)
         gaps.append(relative_gap)
         if not (math.isfinite(phi) and math.isfinite(gap)):
-            raise ConvergenceError(gaps, arrays.to_flow(f))
+            break
         if relative_gap <= params.relative_gap_tol:
             violation = _worst_excess(f, excess)
             if violation <= VERIFY_TOL:
-                break
+                return SolveResult(
+                    flow=arrays.to_flow(f),
+                    iterations=iteration,
+                    relative_gap=relative_gap,
+                    potential_value=phi,
+                    social_cost_original=float(arrays.edge_costs(x).sum()),
+                    equilibrium_violation=violation,
+                )
         if iteration == params.max_iterations:
-            raise ConvergenceError(gaps, arrays.to_flow(f))
+            break
         stepped = _newton_step(arrays, f, x, costs, sweep)
         if stepped is f:  # no mass moved, so no later step would move any
-            raise ConvergenceError(gaps, arrays.to_flow(f))
+            break
         f = stepped
-
-    return SolveResult(
-        flow=arrays.to_flow(f),
-        iterations=iteration,
-        relative_gap=relative_gap,
-        potential_value=phi,
-        social_cost_original=float(arrays.edge_costs(x).sum()),
-        equilibrium_violation=violation,
-    )
+    raise ConvergenceError(gaps, arrays.to_flow(f))
 
 
 def _worst_excess(f: np.ndarray, excess: np.ndarray) -> float:

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import wardrop.batch
 from helpers import hard_game
-from wardrop import Edge, Flow, Game, LatencyFunction, PlayerType, cli
+from wardrop import BatchSystem, Edge, Flow, Game, LatencyFunction, PlayerType, cli
 from wardrop.formats import save_flow, save_game
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -157,7 +158,7 @@ GOLDEN_COMMANDS = {
 }
 GOLDEN_GAMES = {name: FIXTURES / f"{name}.json" for name in ("pigou", "mono", "twotype")}
 # The solves of this game meet singular reduced Hessians, so they pin the
-# shifted solve of solver._newton_direction.
+# shifted direction of solver._directions.
 GOLDEN_GAMES["singular_hessian"] = ROOT / "tests" / "data" / "singular_hessian.json"
 GOLDEN_STDOUT = [
     (fixture, name) for fixture in ("pigou", "mono", "twotype") for name in GOLDEN_COMMANDS
@@ -309,6 +310,53 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert cli.run(["batch", PIGOU]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["solve", PIGOU, "--max-iterations", "0"],
+         "wardrop solve: error: argument --max-iterations: must be positive, got 0"),
+        (["sweep", PIGOU, "--n-list", "1,2,...,x"],
+         "wardrop sweep: error: argument --n-list: bad count 'x'"),
+        (["sweep", PIGOU, "--n-list", ","],
+         "wardrop sweep: error: argument --n-list: empty count list"),
+    ],
+    ids=["zero-iterations", "bad-count", "empty-list"],
+)
+def test_bad_option_values_exit_2_naming_the_option(capsys, argv, message):
+    code, lines, err = run_lines(capsys, *argv)
+    assert code == 2
+    assert lines == []
+    assert err.splitlines()[-1] == message
+
+
+@pytest.mark.parametrize(
+    "entry,detail",
+    [
+        ({"strategy": 0, "x": 1.0}, "{'strategy': 0, 'x': 1.0}: KeyError('type')"),
+        (3, "3: TypeError("),
+    ],
+    ids=["no-type", "number"],
+)
+def test_verify_rejects_a_malformed_flow_entry_with_exit_3(capsys, tmp_path, entry, detail):
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps({"amounts": [entry]}))
+    code, lines, err = run_lines(capsys, "verify", PIGOU, str(path))
+    assert code == 3
+    assert lines == []
+    assert err.startswith(f"error: malformed flow entry {detail}")
+
+
+def test_batch_overshoot_past_epsilon_exits_4(capsys, monkeypatch):
+    # One batch per edge overshoots Pigou's optimum cost 3/4 by 1/4.
+    monkeypatch.setattr(
+        wardrop.batch, "select_batch_system", lambda game, flow, eps: BatchSystem.uniform(game, 1)
+    )
+    code, lines, err = run_lines(capsys, "batch", PIGOU, "--epsilon", "0.01")
+    assert code == 4
+    assert lines == []
+    assert err == "error: batch cost overshoot 2.500e-01 exceeds epsilon 1.000e-02\n"
 
 
 # run() parses with one parser per process; no call may see what an

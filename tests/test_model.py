@@ -26,6 +26,7 @@ from wardrop import (
     validate_game,
     wardrop_gap,
 )
+from wardrop.model import _horner
 from wardrop.oracle import exhaustive_batch_verify
 
 
@@ -220,6 +221,11 @@ def test_cold_start_is_the_all_or_nothing_flow_at_zero_loads_in_both_modes():
 def test_edge_loads_unknown_type(pigou):
     with pytest.raises(ValueError, match="unknown player type"):
         pigou._arrays.flow_vector(Flow({("nope", 0): 1.0}))
+
+
+def test_unknown_edge_id_is_a_value_error(pigou):
+    with pytest.raises(ValueError, match="^unknown edge id 'nope'$"):
+        pigou.edge("nope")
 
 
 def test_edge_loads_bad_strategy_index(pigou):
@@ -442,10 +448,15 @@ def test_potential_change_matches_polynomial_difference():
             exact = sum(
                 np.polyval(p, a + d) - np.polyval(p, a) for p, a, d in zip(integrals, x, dx)
             )
-            quotient = view.sweep(x, mode)[:, 2]
+            quotient = _horner(view.banks[mode], x)[:, 2]
             change = view.potential_change(x, dx, quotient)
             assert change == pytest.approx(exact, rel=1e-12, abs=1e-12)
             assert view.potential_change(x, np.zeros_like(x), quotient) == 0.0
+
+
+def view_potential(view, x):
+    """The original-mode potential at loads x, as solver.potential sums it."""
+    return float(x @ _horner(view.banks["original"], x)[0, 2])
 
 
 def test_potential_change_keeps_the_sign_below_rounding(pigou):
@@ -455,8 +466,8 @@ def test_potential_change_keeps_the_sign_below_rounding(pigou):
     view = pigou._arrays
     x = np.array([0.5, 0.5])
     dx = np.array([-1e-20, 1e-20])
-    assert view.potential(x + dx, "original") - view.potential(x, "original") == 0.0
-    quotient = view.sweep(x, "original")[:, 2]
+    assert view_potential(view, x + dx) - view_potential(view, x) == 0.0
+    quotient = _horner(view.banks["original"], x)[:, 2]
     assert view.potential_change(x, dx, quotient) == pytest.approx(-5e-21, rel=1e-12)
 
 
@@ -509,7 +520,7 @@ def test_sweep_rows_equal_their_own_banks_bit_for_bit(case):
         derivative = np.zeros_like(latency)
         derivative[:, :-1] = latency[:, 1:] * powers[:-1]
         integral = latency / powers
-        sweep = view.sweep(x, mode)
+        sweep = _horner(view.banks[mode], x)
         for row, bank in zip(sweep[0], (latency, derivative, integral)):
             assert row.flags.c_contiguous
             assert row.tobytes() == value_by_columns(bank, x).tobytes()

@@ -34,9 +34,9 @@ from wardrop import (
     wardrop_gap,
 )
 from wardrop.formats import load_game
-from wardrop.model import VERIFY_TOL, is_feasible
+from wardrop.model import VERIFY_TOL, _horner, is_feasible
 from wardrop.oracle import grid_search_equilibrium
-from wardrop.solver import HESSIAN_SHIFT, MODES, _newton_direction, _newton_step
+from wardrop.solver import HESSIAN_SHIFT, MODES, _directions, _newton_step
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -68,7 +68,7 @@ def newton_step(game, flow, mode):
     view = game._arrays
     f = view.flow_vector(flow)
     x = view.loads(f)
-    sweep = view.sweep(x, mode)
+    sweep = _horner(view.banks[mode], x)
     return view.to_flow(_newton_step(view, f, x, view.strategy_costs(x, mode), sweep))
 
 
@@ -411,6 +411,25 @@ def test_generated_game_solve_is_pinned_bit_for_bit(name, mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_each_step_solves_one_newton_system(monkeypatch, mode):
+    # Every step of these solves passes Armijo's test along the Newton
+    # direction, so the shifted system, tried only after the Newton arc
+    # stops moving mass, is never solved.
+    game = load_game(DATA / "gen_mid_seed41_game01.json")
+    solves = []
+    unpatched = np.linalg.solve
+
+    def counted(a, b):
+        solves.append(len(b))
+        return unpatched(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    result = solve(game, mode, SolverParams(relative_gap_tol=1e-12))
+    assert result.iterations == 7
+    assert len(solves) == result.iterations
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_solve_singular_reduced_hessian(mode):
     # The constant edges e1 and e3 make the reduced Hessian singular.
     game = load_game(DATA / "singular_hessian.json")
@@ -426,23 +445,24 @@ def shifted_direction(hessian, g):
 
 
 def recorded_directions(monkeypatch):
-    """Calls of _newton_direction, as (H, g, d), from here on."""
+    """The directions that _directions yields, as (H, g, d), from here on."""
     calls = []
 
     def record(hessian, g, reach):
-        d, exact = _newton_direction(hessian, g, reach)
-        calls.append((hessian.copy(), g.copy(), d))
-        return d, exact
+        for d in _directions(hessian, g, reach):
+            calls.append((hessian.copy(), g.copy(), d))
+            yield d
 
-    monkeypatch.setattr(solver, "_newton_direction", record)
+    monkeypatch.setattr(solver, "_directions", record)
     return calls
 
 
 def test_newton_direction_solves_a_positive_definite_hessian():
     hessian = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
     g = np.array([-1.0, 0.5, -2.0])
-    d, exact = _newton_direction(hessian, g, np.ones(3))
-    assert exact and np.array_equal(d, -np.linalg.solve(hessian, g))
+    newton, shifted = _directions(hessian, g, np.ones(3))
+    assert np.array_equal(newton, -np.linalg.solve(hessian, g))
+    assert np.array_equal(shifted, shifted_direction(hessian, g))
 
 
 def test_newton_direction_shifts_a_singular_hessian():
@@ -453,8 +473,8 @@ def test_newton_direction_shifts_a_singular_hessian():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(hessian)
     g = np.array([-1.0, -2.0, 0.5])
-    d, exact = _newton_direction(hessian, g, np.ones(3))
-    assert not exact and np.array_equal(d, shifted_direction(hessian, g))
+    [d] = _directions(hessian, g, np.ones(3))
+    assert np.array_equal(d, shifted_direction(hessian, g))
     assert np.isfinite(d).all() and g @ d < 0.0
 
 
@@ -462,10 +482,10 @@ def test_newton_direction_follows_minus_g_when_the_hessian_vanishes():
     # The model is linear: -g, scaled so that its largest component, the
     # second, has the size of its entry of reach.
     g = np.array([2.0, -4.0, 1.0])
-    d, exact = _newton_direction(np.zeros((3, 3)), g, np.array([1.0, 3.0, 8.0]))
-    assert not exact and np.array_equal(d, [-0.5, 3.0, -2.0])
-    d, exact = _newton_direction(np.zeros((2, 2)), np.zeros(2), np.ones(2))
-    assert not exact and np.array_equal(d, [0, 0])
+    [d] = _directions(np.zeros((3, 3)), g, np.array([1.0, 3.0, 8.0]))
+    assert np.array_equal(d, [-0.5, 3.0, -2.0])
+    [d] = _directions(np.zeros((2, 2)), np.zeros(2), np.ones(2))
+    assert np.array_equal(d, [0, 0])
 
 
 @pytest.mark.parametrize(
@@ -476,7 +496,8 @@ def test_newton_direction_of_a_non_finite_hessian_raises_nothing(hessian):
     # np.linalg.solve raises on [[inf, 0], [0, 0]]: its LU has a zero pivot.
     g = -np.ones(len(hessian))
     with np.errstate(all="ignore"):
-        assert _newton_direction(np.array(hessian), g, np.ones(len(g)))[0].shape == g.shape
+        for d in _directions(np.array(hessian), g, np.ones(len(g))):
+            assert d.shape == g.shape
 
 
 @pytest.mark.parametrize(
