@@ -158,8 +158,8 @@ def _price(
     excess = np.array([f[1] for f in factors]).reshape(-1, width)
     rows = np.array([[index[n] for n in row] for row in counts], dtype=np.intp)
     return (
-        _horner(bank[:, None] * ratio.T[:, rows], x)[0] * x,
-        _horner(bank[:, None] * excess.T[:, rows], x)[0] * x,
+        _horner(bank[:, None] * ratio.T[:, rows], x) * x,
+        _horner(bank[:, None] * excess.T[:, rows], x) * x,
     )
 
 
@@ -230,7 +230,7 @@ def select_batch_system(game: Game, flow: Flow, epsilon: float) -> BatchSystem:
     view = game._arrays
     x = view.loads(view.feasible_vector(flow))
     marginal = view.banks["marginal"][:, 0]
-    span = _horner(marginal, x)[0] - marginal[0]
+    span = _horner(marginal, x) - marginal[0]
     loaded = x > EPS_USE
     budget = epsilon / max(1, int(np.count_nonzero(loaded)))
     # A tiny epsilon can overflow a count to inf; that is reported below.

@@ -138,15 +138,25 @@ def load_game(path: str | Path) -> Game:
     to the text parses it anew.
 
     Raises json.JSONDecodeError (with line and column) on bad JSON,
-    FormatError on schema mismatch, and GameValidationError listing every
-    structural violation; a text that fails is never kept.
+    FormatError on schema mismatch or nesting too deep to parse, and
+    GameValidationError listing every structural violation; a text that
+    fails is never kept.
     """
     return _game_from_text(_read_text(path))
 
 
+def _json(text: str, what: str) -> Any:
+    """json.loads of text, with a FormatError naming `what` when its
+    nesting exceeds the parser's recursion limit."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise FormatError(f"{what} is nested too deeply to parse") from None
+
+
 @functools.lru_cache(maxsize=GAME_CACHE_SIZE)
 def _game_from_text(text: str) -> Game:
-    game = game_from_dict(json.loads(text))
+    game = game_from_dict(_json(text, "game document"))
     report = validate_game(game)
     if report:
         raise GameValidationError(report)
@@ -173,10 +183,11 @@ def save_game(game: Game, path: str | Path) -> None:
 def load_flow(path: str | Path, game: Game) -> Flow:
     """Parse a flow file against a game.
 
-    Raises FormatError for schema problems, references to unknown types
-    or strategies, duplicate entries, or negative or non-finite amounts.
+    Raises FormatError for schema problems, nesting too deep to parse,
+    references to unknown types or strategies, duplicate entries, or
+    negative or non-finite amounts.
     """
-    data = json.loads(_read_text(path))
+    data = _json(_read_text(path), "flow document")
     try:
         entries = _list(data["amounts"], "amounts")
     except (KeyError, TypeError) as exc:

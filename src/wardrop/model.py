@@ -239,23 +239,19 @@ def _check_game(game: Game) -> list[Violation]:
 
 def _horner(bank: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Horner's rule over the first axis of bank, which holds coefficients
-    lowest power first, at x, with every partial sum kept.
+    lowest power first: the values at x.
 
-    [0] is the value and [1:] are the coefficients of the quotient by
-    (y - x). x broadcasts against each bank[j], so a stack of banks
-    along the other axes evaluates in one pass, each entry bit for bit
-    as its own polynomial alone.
+    x broadcasts against each bank[j], so a stack of banks along the
+    other axes evaluates in one pass, each entry bit for bit as its own
+    polynomial alone.
     """
-    # np.empty, not empty_like: a strided bank would give strided rows,
-    # and a product with a strided row rounds differently.
-    partial = np.empty(bank.shape)
-    # partial[j] = partial[j + 1] * x + bank[j], from 0 * x + bank[-1].
-    np.multiply(x, 0.0, out=partial[-1])
-    partial[-1] += bank[-1]
+    # value = value * x + bank[j], from 0 * x + bank[-1]: so value takes
+    # the broadcast shape, and a non-finite x stays non-finite in a constant.
+    value = np.multiply(x, 0.0) + bank[-1]
     for j in range(len(bank) - 2, -1, -1):
-        np.multiply(partial[j + 1], x, out=partial[j])
-        partial[j] += bank[j]
-    return partial
+        value *= x
+        value += bank[j]
+    return value
 
 
 class _GameArrays:
@@ -268,18 +264,18 @@ class _GameArrays:
     which reductions read as a sentinel entry past the end of the vector.
     row_range and type_range are the row and type indices in order.
 
-    Loads are flow @ incidence. Each mode's latency, derivative and
-    integral coefficients are padded into one array, banks[mode], of
-    shape (width, 3, edges): coefficient first, lowest power first, so
-    banks[mode][:, 0] is the mode's latency bank. Every polynomial is
-    evaluated by _horner over that first axis, a whole load vector at
-    once; the zeros of the padding are exact, so every entry equals the
-    scalar Horner value of its own polynomial. _horner(banks[mode], x)
-    evaluates the three banks of a mode at loads x in one pass. Its first
-    entry holds the values at x: row 0 the latencies, row 1 their
-    derivatives and row 2 the integral bank, whose value times x is the
-    edge's potential term. The partial sums of the integral bank, [:, 2],
-    are the quotient that potential_change evaluates.
+    Loads are flow @ incidence. Each mode's polynomials are padded into
+    one array, banks[mode], of shape (width, 2 + width, edges):
+    coefficient first, lowest power first. Row 0 is the latency bank,
+    row 1 its derivative, and row 2 + k the integral bank shifted down k
+    powers, so banks[mode][:, 2] is the integral, whose value times x is
+    the edge's potential term. Every polynomial is evaluated by _horner
+    over that first axis, a whole load vector at once; the zeros of the
+    padding are exact, so every entry equals the scalar Horner value of
+    its own polynomial. _horner(banks[mode], x) evaluates every row of a
+    mode at loads x in one pass. Rows 2: of its values are the Horner
+    partial sums of the integral at x, the quotient that
+    potential_change evaluates.
 
     Every array is read-only: the view lives as long as its Game, which
     load_game hands to every caller that loads the same text.
@@ -317,8 +313,9 @@ class _GameArrays:
         original = [e.latency.coeffs for e in game.edges]
         width = max(map(len, original), default=1) or 1
         # banks[m, j, b, e]: coefficient j of bank b (latency, derivative,
-        # integral) of edge e in mode m (original, marginal).
-        banks = np.zeros((2, width, 3, n_edges))
+        # integral shifted down b - 2 powers) of edge e in mode m
+        # (original, marginal).
+        banks = np.zeros((2, width, 2 + width, n_edges))
         for k, coeffs in enumerate(original):
             banks[0, : len(coeffs), 0, k] = coeffs
         powers = np.arange(1.0, width + 1.0)[:, None]
@@ -328,7 +325,8 @@ class _GameArrays:
         # Derivatives a_j -> j * a_j, shifted down one power, with a zero
         # at the top; integrals a_j / (j + 1).
         banks[:, :-1, 1] = latency[:, 1:] * powers[:-1]
-        banks[:, :, 2] = latency / powers
+        for k in range(width):
+            banks[:, : width - k, 2 + k] = latency[:, k:] / powers[k:]
         banks.flags.writeable = False
         self.banks = {"original": banks[0], "marginal": banks[1]}
         for array in (
@@ -390,23 +388,24 @@ class _GameArrays:
 
     def edge_costs(self, x: np.ndarray) -> np.ndarray:
         """Per-edge cost l_e(x_e) * x_e."""
-        return _horner(self.banks["original"][:, 0], x)[0] * x
+        return _horner(self.banks["original"][:, 0], x) * x
 
     def strategy_costs(self, x: np.ndarray, mode: str) -> np.ndarray:
-        return self.incidence @ _horner(self.banks[mode][:, 0], x)[0]
+        return self.incidence @ _horner(self.banks[mode][:, 0], x)
 
     def potential_change(self, x: np.ndarray, dx: np.ndarray, quotient: np.ndarray) -> float:
         """The potential at loads x + dx minus that at x, as
         sum_e dx_e * P_e[x_e, x_e + dx_e], with P_e[a, b] the divided
         difference of edge e's potential term P_e(y) = y * I_e(y), I_e
-        its integral bank, and quotient _horner(banks[mode], x)[:, 2].
+        its integral bank, and quotient _horner(banks[mode], x)[2:].
 
-        Every partial sum of I_e at a is a coefficient of the quotient of
-        P_e by (y - a), and that quotient at b is P_e[a, b]. At
-        nonnegative loads both Horner passes add nonnegative parts, so no
-        term cancels, however small dx is.
+        Row k of quotient is I_e shifted down k powers at a, which is
+        Horner's k-th partial sum of I_e at a and the coefficient of y^k
+        in the quotient of P_e by (y - a); that quotient at b is
+        P_e[a, b]. At nonnegative loads both Horner passes add
+        nonnegative parts, so no term cancels, however small dx is.
         """
-        return float(dx @ _horner(quotient, x + dx)[0])
+        return float(dx @ _horner(quotient, x + dx))
 
     def excess(self, costs: np.ndarray) -> np.ndarray:
         """Each strategy's cost minus the cheapest cost of its type."""
@@ -451,5 +450,5 @@ def player_cost(game: Game, flow: Flow, type_id: str) -> float:
     game.player_type(type_id)  # raises for an unknown type
     view = game._arrays
     f = view.feasible_vector(flow)
-    latencies = _horner(view.banks["original"][:, 0], view.loads(f))[0]
+    latencies = _horner(view.banks["original"][:, 0], view.loads(f))
     return float(latencies @ view.type_loads(f, type_id))

@@ -52,12 +52,13 @@ optimum.
 The loop, the potential and the equilibrium gap all read the game's
 vector view, model._GameArrays, which also owns the per-type layout of
 the flow vector and its per-type reductions. Each iterate makes one
-Horner pass of its loads (model._horner) through the mode's latency,
-derivative and integral banks, banks[mode], which share one layout,
-coefficient first. Its values, sweep[0], give the strategy costs, the
-Hessian's l' and the potential; its integral partial sums, sweep[:, 2],
-are a bank in that same layout, the quotient that every Armijo trial of
-the step evaluates, so a trial costs one Horner pass.
+Horner pass of its loads (model._horner) through the rows of the mode's
+bank, banks[mode]: the latency, its derivative, and the integral shifted
+down 0, 1, 2, ... powers. Its values give the strategy costs (row 0),
+the Hessian's l' (row 1) and the potential (row 2). Rows 2: of the
+values are Horner's partial sums of the integral at the loads, a bank in
+that same layout: the quotient that every Armijo trial of the step
+evaluates, so a trial costs one Horner pass.
 """
 
 from __future__ import annotations
@@ -193,11 +194,12 @@ def _directions(hessian: np.ndarray, g: np.ndarray, reach: np.ndarray) -> Iterat
 
 
 def _newton_step(
-    arrays: _GameArrays, f: np.ndarray, x: np.ndarray, costs: np.ndarray, sweep: np.ndarray
+    arrays: _GameArrays, f: np.ndarray, x: np.ndarray, costs: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
     """One projected Newton step along the projection arc from the flow
-    vector f, at loads x, with strategy costs costs and Horner sweep
-    _horner(arrays.banks[mode], x) in the mode.
+    vector f, at loads x, with strategy costs costs and bank values
+    _horner(arrays.banks[mode], x) in the mode: l' is values[1] and the
+    Armijo quotient values[2:].
 
     The step tries the directions of _directions in turn and returns the
     first arc flow that passes Armijo's test. It returns f itself, having
@@ -208,7 +210,7 @@ def _newton_step(
     mass = f[rows]
     g = costs[rows] - costs[base]
     diff = arrays.incidence[rows] - arrays.incidence[base]
-    curved = diff * sweep[0, 1]
+    curved = diff * values[1]
     # The eps-active rows cost more than their basic row and carry less
     # mass than the diagonal of the Newton model would move off them.
     # They leave the Newton system, and the full step empties them.
@@ -221,7 +223,7 @@ def _newton_step(
         if newton.size
         else [d[newton]]
     )
-    quotient = sweep[:, 2]
+    quotient = values[2:]
     floor = -mass
     used = f > 0.0
     for direction in directions:
@@ -254,7 +256,7 @@ def potential(game: Game, flow: Flow, mode: str) -> float:
     _check_mode(mode)
     view = game._arrays
     x = view.loads(view.feasible_vector(flow))
-    return float(x @ _horner(view.banks[mode], x)[0, 2])
+    return float(x @ _horner(view.banks[mode][:, 2], x))
 
 
 def solve(
@@ -294,12 +296,11 @@ def solve(
     gaps: list[float] = []
     for iteration in range(params.max_iterations + 1):
         x = arrays.loads(f)
-        sweep = _horner(arrays.banks[mode], x)
-        latencies, _, integrals = sweep[0]
-        costs = arrays.incidence @ latencies
+        values = _horner(arrays.banks[mode], x)
+        costs = arrays.incidence @ values[0]
         excess = arrays.excess(costs)
         gap = float(f @ excess)
-        phi = float(x @ integrals)
+        phi = float(x @ values[2])
         relative_gap = gap / max(abs(phi), EPS_DENOM)
         gaps.append(relative_gap)
         if not (math.isfinite(phi) and math.isfinite(gap)):
@@ -317,7 +318,7 @@ def solve(
                 )
         if iteration == params.max_iterations:
             break
-        stepped = _newton_step(arrays, f, x, costs, sweep)
+        stepped = _newton_step(arrays, f, x, costs, values)
         if stepped is f:  # no mass moved, so no later step would move any
             break
         f = stepped

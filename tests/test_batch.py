@@ -67,9 +67,9 @@ def test_batch_latency_values(pigou):
     view = pigou._arrays
     marginal = view.banks["marginal"][:, 0]
     x = np.array([0.5, 0.5])
-    assert _horner(marginal, 1 / 1 * x)[0, 1] == 1.0
-    assert _horner(marginal, 3 / 10 * x)[0, 1] == pytest.approx(0.3, rel=1e-12)
-    assert _horner(marginal, 2 / 5 * x)[0, 0] == 1.0
+    assert _horner(marginal, 1 / 1 * x)[1] == 1.0
+    assert _horner(marginal, 3 / 10 * x)[1] == pytest.approx(0.3, rel=1e-12)
+    assert _horner(marginal, 2 / 5 * x)[0] == 1.0
     # One batch pays the full-load latency on all of the load.
     report = batch_social_cost(pigou, OPTIMUM, BatchSystem.uniform(pigou, 1))
     assert [row.batch_cost for row in report.per_edge.values()] == [0.5 * 1.0, 0.5 * 1.0]
@@ -264,6 +264,21 @@ def test_batch_sweep_memory_is_bounded_on_long_count_lists():
         n, cost, gap = rows[k]
         report = batch_social_cost(game, flow, BatchSystem.uniform(game, n))
         assert (n, cost, gap) == (counts[k], report.total_batch_cost, report.total_gap)
+
+
+def test_batch_sweep_peak_leaves_out_horner_partial_sums():
+    # The input of the test above peaks at about 19 MB when each Horner
+    # pass keeps only its values, and at about 25 MB when it keeps every
+    # partial sum of the (width, counts, edges) stacks it prices.
+    game = large_game(3, n_types=6, n_strategies=4)
+    flow = random_feasible_flow(game, np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        batch_sweep(game, flow, range(1, 6001, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 21 * 2**20
 
 
 def test_select_batch_system_pigou(pigou):

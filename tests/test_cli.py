@@ -348,6 +348,20 @@ def test_verify_rejects_a_malformed_flow_entry_with_exit_3(capsys, tmp_path, ent
     assert err.startswith(f"error: malformed flow entry {detail}")
 
 
+@pytest.mark.parametrize("depth", [1000, 100_000])
+@pytest.mark.parametrize("document", ["game", "flow"])
+def test_deeply_nested_input_exits_3(capsys, tmp_path, document, depth):
+    # json.loads raises RecursionError past the interpreter's recursion
+    # limit; that is bad input, not a crash.
+    path = tmp_path / f"{document}.json"
+    path.write_text("[" * depth)
+    argv = ["solve", str(path)] if document == "game" else ["verify", PIGOU, str(path)]
+    code, lines, err = run_lines(capsys, *argv)
+    assert (code, lines) == (3, [])
+    assert err == f"error: {document} document is nested too deeply to parse\n"
+    assert "Traceback" not in err
+
+
 def test_batch_overshoot_past_epsilon_exits_4(capsys, monkeypatch):
     # One batch per edge overshoots Pigou's optimum cost 3/4 by 1/4.
     monkeypatch.setattr(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import wardrop
@@ -448,7 +448,7 @@ def test_potential_change_matches_polynomial_difference():
             exact = sum(
                 np.polyval(p, a + d) - np.polyval(p, a) for p, a, d in zip(integrals, x, dx)
             )
-            quotient = _horner(view.banks[mode], x)[:, 2]
+            quotient = _horner(view.banks[mode], x)[2:]
             change = view.potential_change(x, dx, quotient)
             assert change == pytest.approx(exact, rel=1e-12, abs=1e-12)
             assert view.potential_change(x, np.zeros_like(x), quotient) == 0.0
@@ -456,7 +456,7 @@ def test_potential_change_matches_polynomial_difference():
 
 def view_potential(view, x):
     """The original-mode potential at loads x, as solver.potential sums it."""
-    return float(x @ _horner(view.banks["original"], x)[0, 2])
+    return float(x @ _horner(view.banks["original"], x)[2])
 
 
 def test_potential_change_keeps_the_sign_below_rounding(pigou):
@@ -467,7 +467,7 @@ def test_potential_change_keeps_the_sign_below_rounding(pigou):
     x = np.array([0.5, 0.5])
     dx = np.array([-1e-20, 1e-20])
     assert view_potential(view, x + dx) - view_potential(view, x) == 0.0
-    quotient = _horner(view.banks["original"], x)[:, 2]
+    quotient = _horner(view.banks["original"], x)[2:]
     assert view.potential_change(x, dx, quotient) == pytest.approx(-5e-21, rel=1e-12)
 
 
@@ -506,6 +506,28 @@ def value_by_columns(bank, x):
     return quotient_by_columns(bank, x)[:, 0].copy()
 
 
+def width_case(width):
+    """A game of three edges of degrees width - 1, 0 and (width - 1) // 2,
+    so that its banks have exactly width coefficients, with loads x and y
+    that take zero, a subnormal and 1e3 between them."""
+    rng = np.random.default_rng(width)
+    edges = tuple(
+        Edge(f"e{k}", LatencyFunction(tuple(rng.uniform(0.0, 1e3, d + 1).tolist())))
+        for k, d in enumerate((width - 1, 0, (width - 1) // 2))
+    )
+    game = Game(edges, (PlayerType("t", 1.0, (frozenset(e.id for e in edges),)),))
+    return game, np.array([1e3, 0.0, 0.7]), np.array([5e-324, 2.5, 1e3])
+
+
+def at_every_width(test):
+    """test with an explicit example at each bank width, 1 (constant
+    latencies only) to MAX_DEGREE + 1."""
+    for width in range(1, wardrop.latency.MAX_DEGREE + 2):
+        test = example(case=width_case(width))(test)
+    return test
+
+
+@at_every_width
 @given(case=sweep_cases())
 def test_sweep_rows_equal_their_own_banks_bit_for_bit(case):
     game, x, y = case
@@ -520,14 +542,17 @@ def test_sweep_rows_equal_their_own_banks_bit_for_bit(case):
         derivative = np.zeros_like(latency)
         derivative[:, :-1] = latency[:, 1:] * powers[:-1]
         integral = latency / powers
-        sweep = _horner(view.banks[mode], x)
-        for row, bank in zip(sweep[0], (latency, derivative, integral)):
+        # The integral shifted down k powers, zeros at the top.
+        shifted = [np.pad(integral[:, k:], ((0, 0), (0, k))) for k in range(width)]
+        values = _horner(view.banks[mode], x)
+        assert len(values) == 2 + width
+        for row, bank in zip(values, (latency, derivative, *shifted)):
             assert row.flags.c_contiguous
             assert row.tobytes() == value_by_columns(bank, x).tobytes()
         quotient = quotient_by_columns(integral, x)
-        assert sweep[:, 2].T.tobytes() == quotient.tobytes()
+        assert values[2:].T.tobytes() == quotient.tobytes()
         by_columns = float(dx @ value_by_columns(quotient, x + dx))
-        change = view.potential_change(x, dx, sweep[:, 2])
+        change = view.potential_change(x, dx, values[2:])
         assert change.hex() == by_columns.hex()
 
 
