@@ -20,7 +20,7 @@ import numpy as np
 
 from . import formats, oracle, solver
 from .batch import MechanismError, batch_sweep, mechanism_pipeline
-from .model import VERIFY_TOL, Game, GameValidationError, social_cost
+from .model import VERIFY_TOL, Game, social_cost
 from .solver import ConvergenceError, SolverParams, _solve_pair, potential, solve, wardrop_gap
 
 
@@ -274,7 +274,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 3
-    except (OSError, GameValidationError, formats.FormatError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
+        # formats.FormatError and GameValidationError are ValueErrors; a
+        # game too large for memory is bad input too.
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

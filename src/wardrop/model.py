@@ -204,13 +204,13 @@ def _check_game(game: Game) -> list[Violation]:
                 violations.append(
                     Violation(f"edges[{k}].latency.coeffs[{j}]", f"negative coefficient {c}")
                 )
-    seen_type_ids: set[str] = set()
+    seen_types: set[str] = set()
     for k, ptype in enumerate(game.player_types):
-        if ptype.id in seen_type_ids:
+        if ptype.id in seen_types:
             violations.append(
                 Violation(f"player_types[{k}].id", f"duplicate player type id '{ptype.id}'")
             )
-        seen_type_ids.add(ptype.id)
+        seen_types.add(ptype.id)
         if not math.isfinite(ptype.demand):
             violations.append(
                 Violation(f"player_types[{k}].demand", f"non-finite demand {ptype.demand}")
@@ -257,11 +257,11 @@ def _horner(bank: np.ndarray, x: np.ndarray) -> np.ndarray:
 class _GameArrays:
     """Dense vector view of a game.
 
-    Flow vectors are indexed by (type, strategy) keys in game order, and
-    spans maps each type id to its slice of them. The same layout is kept
-    as index arrays for per-type reductions: owner[r] is the type of row
-    r, and slots[t] lists the rows of type t, padded with the row count,
-    which reductions read as a sentinel entry past the end of the vector.
+    Flow vectors are indexed by (type, strategy) keys in game order, so
+    each type's rows are contiguous. Their per-type layout is kept as two
+    index arrays: owner[r] is the type of row r, and slots[t] lists the
+    rows of type t, padded with the row count. by_type reads a vector
+    through slots with a pad value in that sentinel entry past its end.
     row_range and type_range are the row and type indices in order.
 
     Loads are flow @ incidence. Each mode's polynomials are padded into
@@ -288,16 +288,12 @@ class _GameArrays:
         # The (row, edge) cells of incidence that hold a 1.
         cell_rows: list[int] = []
         cell_cols: list[int] = []
-        self.spans: dict[str, tuple[int, int]] = {}
-        self.type_ids = [t.id for t in game.player_types]
         self.demand = np.array([t.demand for t in game.player_types])
         for ptype in game.player_types:
-            start = len(keys)
             for s, strategy in enumerate(ptype.strategies):
                 cell_rows.extend([len(keys)] * len(strategy))
                 cell_cols.extend(self.edge_index[edge_id] for edge_id in strategy)
                 keys.append((ptype.id, s))
-            self.spans[ptype.id] = (start, len(keys))
         self.keys = keys
         self.row_index = {key: r for r, key in enumerate(keys)}
         sizes = np.array([len(t.strategies) for t in game.player_types], dtype=int)
@@ -348,16 +344,13 @@ class _GameArrays:
         return f
 
     def flow_vector(self, flow: Flow) -> np.ndarray:
+        """flow by row; ValueError("infeasible flow") for a key the game lacks."""
         f = np.zeros(len(self.keys))
-        for (type_id, index), amount in flow.amounts.items():
-            row = self.row_index.get((type_id, index))
-            if row is None:
-                if type_id not in self.spans:
-                    raise ValueError(f"unknown player type '{type_id}'")
-                raise ValueError(
-                    f"strategy index {index} out of range for player type '{type_id}'"
-                )
-            f[row] = amount
+        try:
+            for key, amount in flow.amounts.items():
+                f[self.row_index[key]] = amount
+        except KeyError:
+            raise ValueError("infeasible flow") from None
         return f
 
     def feasible_vector(self, flow: Flow) -> np.ndarray:
@@ -365,10 +358,7 @@ class _GameArrays:
         strategies, and each type's summing (in row order) to its demand
         within FEASIBILITY_TOL. Raises ValueError("infeasible flow")
         otherwise."""
-        try:
-            f = self.flow_vector(flow)
-        except ValueError:
-            raise ValueError("infeasible flow") from None
+        f = self.flow_vector(flow)
         sums = np.bincount(self.owner, f, minlength=len(self.demand))
         # min and max propagate NaN, which fails both comparisons.
         worst = np.abs(sums - self.demand).max(initial=0.0)
@@ -381,10 +371,6 @@ class _GameArrays:
 
     def loads(self, f: np.ndarray) -> np.ndarray:
         return f @ self.incidence
-
-    def type_loads(self, f: np.ndarray, type_id: str) -> np.ndarray:
-        start, stop = self.spans[type_id]
-        return f[start:stop] @ self.incidence[start:stop]
 
     def edge_costs(self, x: np.ndarray) -> np.ndarray:
         """Per-edge cost l_e(x_e) * x_e."""
@@ -407,23 +393,21 @@ class _GameArrays:
         """
         return float(dx @ _horner(quotient, x + dx))
 
+    def by_type(self, values: np.ndarray, pad: float) -> np.ndarray:
+        """values laid out as slots (type by padded row), pad in the padding."""
+        return np.concatenate((values, (pad,)))[self.slots]
+
     def excess(self, costs: np.ndarray) -> np.ndarray:
         """Each strategy's cost minus the cheapest cost of its type."""
-        cheapest = np.concatenate((costs, (np.inf,)))[self.slots].min(axis=1)
+        cheapest = self.by_type(costs, np.inf).min(axis=1)
         return costs - cheapest[self.owner]
 
     def all_or_nothing(self, costs: np.ndarray) -> np.ndarray:
         """Each type's demand on its cheapest strategy, ties toward the
-        lowest index."""
-        pick = np.concatenate((costs, (np.inf,)))[self.slots].argmin(axis=1)
+        lowest index. A type without strategies picks the sentinel row,
+        which is dropped."""
+        pick = self.by_type(costs, np.inf).argmin(axis=1)
         rows = self.slots[self.type_range, pick]
-        # Only a type without strategies picks the sentinel.
-        stranded = np.flatnonzero((rows == len(self.keys)) & (self.demand > 0))
-        if stranded.size:
-            raise ValueError(
-                f"player type '{self.type_ids[stranded[0]]}' has positive demand "
-                "but no strategies"
-            )
         f = np.zeros(len(self.keys) + 1)
         f[rows] = self.demand
         return f[:-1]
@@ -447,8 +431,10 @@ def social_cost(game: Game, flow: Flow) -> float:
 
 def player_cost(game: Game, flow: Flow, type_id: str) -> float:
     """Cost borne by one player type: sum_e l_e(x_e) * x_e^i."""
-    game.player_type(type_id)  # raises for an unknown type
+    strategies = game.player_type(type_id).strategies  # raises for an unknown type
     view = game._arrays
     f = view.feasible_vector(flow)
     latencies = _horner(view.banks["original"][:, 0], view.loads(f))
-    return float(latencies @ view.type_loads(f, type_id))
+    start = view.row_index.get((type_id, 0), 0)
+    rows = slice(start, start + len(strategies))
+    return float(latencies @ (f[rows] @ view.incidence[rows]))

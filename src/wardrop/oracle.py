@@ -185,14 +185,14 @@ def exhaustive_batch_verify(
     flow: Flow,
     batch_system: BatchSystem,
     tol: float = 1e-6,
-    eps_use: float = 1e-9,
 ) -> bool:
     """Check the batch equilibrium condition over every batch assignment.
 
-    For each used strategy, enumerates all combinations of batch indices
-    on its edges and requires each resulting cost to stay within tol of
-    every alternative strategy's full-load cost. Guarded to
-    MAX_BATCH_ASSIGNMENTS combinations per used strategy.
+    For each used strategy (more than 1e-9 mass), enumerates all
+    combinations of batch indices on its edges and requires each
+    resulting cost to stay within tol of every alternative strategy's
+    full-load cost. Guarded to MAX_BATCH_ASSIGNMENTS combinations per
+    used strategy.
     """
     if not is_feasible(game, flow):
         raise ValueError("infeasible flow")
@@ -212,7 +212,7 @@ def exhaustive_batch_verify(
             for strategy in ptype.strategies
         ]
         for s, strategy in enumerate(ptype.strategies):
-            if flow.amount(ptype.id, s) <= eps_use:
+            if flow.amount(ptype.id, s) <= 1e-9:
                 continue
             edges = sorted(strategy)
             counts = [batch_system.counts[edge_id] for edge_id in edges]

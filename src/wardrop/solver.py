@@ -122,18 +122,22 @@ class SolveResult:
 
 
 class ConvergenceError(RuntimeError):
-    """The solve ran out of iterations or left the finite numbers.
+    """The solve ran out of iterations, stalled or left the finite numbers.
 
     gaps holds the relative gap of every iterate from the first to the
     failing one, so iterations is one less than its length and
-    relative_gap is its last entry. flow is the last iterate.
+    relative_gap is its last entry. flow is the last iterate. reason
+    says why the solve stopped: "budget" (the iterations ran out),
+    "stalled" (a step moved no mass) or "non-finite" (the potential or
+    the gap stopped being finite).
     """
 
-    def __init__(self, gaps: Sequence[float], flow: Flow):
+    def __init__(self, gaps: Sequence[float], flow: Flow, reason: str):
         self.gaps = tuple(gaps)
         self.iterations = len(self.gaps) - 1
         self.relative_gap = self.gaps[-1]
         self.flow = flow
+        self.reason = reason
         super().__init__(
             f"no convergence after {self.iterations} iterations, "
             f"relative gap {self.relative_gap:.3e}"
@@ -154,9 +158,8 @@ def _free(
     index. Its free rows carry mass or cost less than the basic row.
     Types without mass, or with one strategy, have no free rows.
     """
-    slots = arrays.slots
-    pick = np.concatenate((f, (-1.0,)))[slots].argmax(axis=1)
-    base = slots[arrays.type_range, pick][arrays.owner]
+    pick = arrays.by_type(f, -1.0).argmax(axis=1)
+    base = arrays.slots[arrays.type_range, pick][arrays.owner]
     free = (
         (arrays.row_range != base)
         & (f[base] > 0.0)
@@ -304,6 +307,7 @@ def solve(
         relative_gap = gap / max(abs(phi), EPS_DENOM)
         gaps.append(relative_gap)
         if not (math.isfinite(phi) and math.isfinite(gap)):
+            reason = "non-finite"
             break
         if relative_gap <= params.relative_gap_tol:
             violation = _worst_excess(f, excess)
@@ -317,12 +321,14 @@ def solve(
                     equilibrium_violation=violation,
                 )
         if iteration == params.max_iterations:
+            reason = "budget"
             break
         stepped = _newton_step(arrays, f, x, costs, values)
         if stepped is f:  # no mass moved, so no later step would move any
+            reason = "stalled"
             break
         f = stepped
-    raise ConvergenceError(gaps, arrays.to_flow(f))
+    raise ConvergenceError(gaps, arrays.to_flow(f), reason)
 
 
 def _worst_excess(f: np.ndarray, excess: np.ndarray) -> float:

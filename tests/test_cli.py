@@ -473,6 +473,38 @@ def test_module_entry_point():
     assert listed >= {"solve", "optimum", "poa", "batch", "sweep", "verify", "oracle"}
 
 
+def test_game_too_large_for_memory_exits_3(tmp_path):
+    # 12 000 edges and 1 200 types of 10 one-edge strategies: an 814 KB
+    # file whose dense incidence matrix takes 12 000 x 12 000 floats,
+    # 1.07 GiB. The allocation fails in a child process limited to 1 GiB
+    # of address space, so the test runner allocates none of it.
+    resource = pytest.importorskip("resource")
+    game = {
+        "edges": [{"id": f"e{k}", "latency": {"coeffs": [1.0, 1.0]}} for k in range(12000)],
+        "player_types": [
+            {"id": f"t{t}", "demand": 1.0, "strategies": [[f"e{10 * t + s}"] for s in range(10)]}
+            for t in range(1200)
+        ],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(game))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "wardrop.cli", "solve", str(path)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=limit_address_space,
+    )
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ")
+    assert "(12000, 12000)" in done.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -114,12 +114,16 @@ def test_best_response_single_strategy(mono):
 
 
 def test_best_response_rejects_demand_without_strategies():
+    # The all-or-nothing flow has no row for such a type's demand, so
+    # solve rejects the game before it builds one.
     game = Game(
         edges=(Edge("e1", LatencyFunction((1.0,))),),
         player_types=(PlayerType("t1", 1.0, ()),),
     )
-    with pytest.raises(ValueError, match="no strategies"):
-        best_response_flow(game, Flow({}), "original")
+    with pytest.raises(GameValidationError) as info:
+        solve(game, "original")
+    assert [v.path for v in info.value.report] == ["player_types[0].strategies"]
+    assert "no strategies for positive demand" in str(info.value)
 
 
 def test_line_search_boundary(pigou):
@@ -279,6 +283,39 @@ def test_solve_stops_when_a_step_cannot_move_the_flow():
     assert error.iterations < 100
     assert len(error.gaps) == error.iterations + 1
     assert is_feasible(game, error.flow)
+
+
+def parallel_roads(demand, *latencies):
+    """One type of the given demand choosing among one-edge roads."""
+    edges = tuple(Edge(f"r{k}", LatencyFunction(c)) for k, c in enumerate(latencies))
+    return Game(edges, (PlayerType("t", demand, tuple(frozenset({e.id}) for e in edges)),))
+
+
+@pytest.mark.parametrize(
+    "game,params,reason",
+    [
+        (hard_game(), SolverParams(max_iterations=1), "budget"),
+        # At demand 1e4 an ulp of a cost exceeds VERIFY_TOL, so the stop
+        # is out of reach and the steps stop moving mass.
+        (
+            parallel_roads(1e4, (1.0, 0.0, 0.0, 1.0), (2.0, 0.0, 0.0, 2.0), (0.5, 1.0, 0.0, 1.5)),
+            SolverParams(),
+            "stalled",
+        ),
+        # x^16 at a load of 1e20 overflows: the first potential is infinite.
+        (
+            parallel_roads(1e20, (0.0,) * 16 + (1.0,), (0.0,) * 16 + (1.0,)),
+            SolverParams(),
+            "non-finite",
+        ),
+    ],
+    ids=["budget", "stalled", "non-finite"],
+)
+def test_convergence_error_names_its_reason(game, params, reason):
+    for mode in MODES:
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as info:
+            solve(game, mode, params)
+        assert info.value.reason == reason
 
 
 def test_solve_linear_game_from_split_flow():
