@@ -244,14 +244,12 @@ def test_batch_sweep_rejects_infeasible_flow_and_bad_counts(pigou):
             batch_sweep(pigou, OPTIMUM, [1, bad])
 
 
-def test_batch_sweep_memory_is_bounded_on_long_count_lists():
-    # 3000 counts on a 300-edge game of degree up to 4 peak at about
-    # 19 MB when priced in blocks and each Horner pass keeps only its
-    # values. Pricing in a single block peaks at about 78 MB, and keeping
-    # every partial sum of the (width, counts, edges) stacks at about
-    # 25 MB. Tracing costs about a microsecond per priced (count, edge)
-    # value, so the game is wide and the list short: five blocks of 699
-    # counts.
+@pytest.fixture(scope="module")
+def traced_long_sweep():
+    # 3000 counts on a 300-edge game of degree up to 4, priced in five
+    # blocks of 699 counts. Tracing costs about a microsecond per priced
+    # (count, edge) value, so the game is wide and the list short, and
+    # the two tests below read this one traced run.
     game = large_game(3, n_types=6, n_strategies=4)
     flow = random_feasible_flow(game, np.random.default_rng(3))
     counts = range(1, 6001, 2)
@@ -261,12 +259,27 @@ def test_batch_sweep_memory_is_bounded_on_long_count_lists():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return game, flow, counts, rows, peak
+
+
+def test_batch_sweep_memory_is_bounded_on_long_count_lists(traced_long_sweep):
+    # The traced run peaks at about 19 MB when priced in blocks and each
+    # Horner pass keeps only its values. Pricing in a single block peaks
+    # at about 78 MB.
+    game, flow, counts, rows, peak = traced_long_sweep
     assert peak < 21 * 2**20
     assert len(rows) == len(counts)
     for k in (0, 1, 698, 699, 2000, len(counts) - 1):
         n, cost, gap = rows[k]
         report = batch_social_cost(game, flow, BatchSystem.uniform(game, n))
         assert (n, cost, gap) == (counts[k], report.total_batch_cost, report.total_gap)
+
+
+def test_batch_sweep_peak_leaves_out_horner_partial_sums(traced_long_sweep):
+    # Keeping every partial sum of the (width, counts, edges) stacks that
+    # each block prices raises the traced run's peak to about 25 MB.
+    *_, peak = traced_long_sweep
+    assert peak < 21 * 2**20
 
 
 def test_select_batch_system_pigou(pigou):
