@@ -28,8 +28,9 @@ import numpy as np
 from .model import EPS_USE, Flow, Game, _GameArrays, _horner
 from .solver import SolverParams, SolveResult, _solve_pair
 
-#: Coefficients (polynomial width x counts x edges) that batch_sweep
-#: prices in one array pass; 2**20 float64 values are 8 MB per array.
+#: Coefficients (two banks x polynomial width x counts x edges) that
+#: batch_sweep prices in one array pass; 2**20 float64 values are 8 MB
+#: per array.
 SWEEP_BLOCK_FLOATS = 1 << 20
 
 
@@ -137,30 +138,22 @@ def _riemann_factors(n: int, width: int) -> tuple[tuple[float, ...], tuple[float
     return tuple(ratio), tuple(excess)
 
 
-def _price(
-    view: _GameArrays, x: np.ndarray, counts: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, np.ndarray]:
+def _price(view: _GameArrays, x: np.ndarray, counts: Sequence[Sequence[int]]) -> np.ndarray:
     """Batch costs and overshoot gaps of K pricings of the game's edges
-    at loads x.
+    at loads x, stacked in an array of shape (2, K, edges).
 
     Row k of counts holds the batch count of every edge, or one count
-    for all of them; the results have shape (K, edges). With marginal
-    coefficients c_j, an edge's batch cost is sum_j c_j x^(j+1) ratio_j
-    and its gap over the plain cost is sum_j c_j x^(j+1) excess_j: both
-    sums of nonnegative terms. Power sums are computed once per distinct
-    count, and all K rows go through one Horner pass.
+    for all of them. With marginal coefficients c_j, an edge's batch
+    cost is sum_j c_j x^(j+1) ratio_j and its gap over the plain cost is
+    sum_j c_j x^(j+1) excess_j: both sums of nonnegative terms. The cost
+    and gap banks of all K rows, 2 x width x K x edges coefficients, go
+    through one Horner pass.
     """
     bank = view.banks["marginal"][:, 0]
     width = len(bank)
-    index = {n: i for i, n in enumerate({n for row in counts for n in row})}
-    factors = [_riemann_factors(n, width) for n in index]
-    ratio = np.array([f[0] for f in factors]).reshape(-1, width)
-    excess = np.array([f[1] for f in factors]).reshape(-1, width)
-    rows = np.array([[index[n] for n in row] for row in counts], dtype=np.intp)
-    return (
-        _horner(bank[:, None] * ratio.T[:, rows], x) * x,
-        _horner(bank[:, None] * excess.T[:, rows], x) * x,
-    )
+    # factors[k, i, b, j]: factor j of bank b (ratio, excess) of entry i of row k.
+    factors = np.array([[_riemann_factors(n, width) for n in row] for row in counts])
+    return _horner(bank[:, None, None] * factors.transpose(3, 2, 0, 1), x) * x
 
 
 def batch_social_cost(game: Game, flow: Flow, batch_system: BatchSystem) -> BatchReport:
@@ -207,7 +200,7 @@ def batch_sweep(
     counts = [_check_count(n) for n in counts]
     order = [k for _, k in sorted(view.edge_index.items())]
     distinct = list(dict.fromkeys(counts))
-    step = max(1, SWEEP_BLOCK_FLOATS // max(1, view.banks["marginal"][:, 0].size))
+    step = max(1, SWEEP_BLOCK_FLOATS // max(1, 2 * view.banks["marginal"][:, 0].size))
     totals: dict[int, tuple[float, float]] = {}
     for start in range(0, len(distinct), step):
         block = distinct[start : start + step]

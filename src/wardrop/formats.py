@@ -138,7 +138,8 @@ def load_game(path: str | Path) -> Game:
     to the text parses it anew.
 
     Raises json.JSONDecodeError (with line and column) on bad JSON,
-    FormatError on schema mismatch or nesting too deep to parse, and
+    FormatError on schema mismatch, a repeated key in an object or
+    nesting too deep to parse, and
     GameValidationError listing every structural violation; a text that
     fails is never kept.
     """
@@ -147,11 +148,27 @@ def load_game(path: str | Path) -> Game:
 
 def _json(text: str, what: str) -> Any:
     """json.loads of text, with a FormatError naming `what` when its
-    nesting exceeds the parser's recursion limit."""
+    nesting exceeds the parser's recursion limit or an object repeats
+    a key."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except RecursionError:
         raise FormatError(f"{what} is nested too deeply to parse") from None
+    except FormatError as exc:
+        raise FormatError(f"{what}: {exc}") from None
+
+
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object as a dict; FormatError naming a repeated key, which
+    json.loads would otherwise resolve silently to its last value."""
+    result = dict(pairs)
+    if len(result) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FormatError(f"duplicate key {key!r}")
+            seen.add(key)
+    return result
 
 
 @functools.lru_cache(maxsize=GAME_CACHE_SIZE)
@@ -183,9 +200,9 @@ def save_game(game: Game, path: str | Path) -> None:
 def load_flow(path: str | Path, game: Game) -> Flow:
     """Parse a flow file against a game.
 
-    Raises FormatError for schema problems, nesting too deep to parse,
-    references to unknown types or strategies, duplicate entries, or
-    negative or non-finite amounts.
+    Raises FormatError for schema problems, a repeated key in an object,
+    nesting too deep to parse, references to unknown types or strategies,
+    duplicate entries, or negative or non-finite amounts.
     """
     data = _json(_read_text(path), "flow document")
     try:

@@ -338,8 +338,7 @@ class _GameArrays:
         index. At zero load every latency is its constant coefficient,
         which the marginal transform multiplies by 1, so both modes pick
         the same flow bit for bit; a game solved twice builds it once."""
-        zero = np.zeros(self.incidence.shape[1])
-        f = self.all_or_nothing(self.strategy_costs(zero, "original"))
+        f = self.all_or_nothing(self.incidence @ self.banks["original"][0, 0])
         f.flags.writeable = False
         return f
 

@@ -101,7 +101,8 @@ def grid_search_equilibrium(game: Game, resolution: float, mode: str) -> Flow:
     Each type's demand is split in multiples of resolution * d_i (shares
     k / M with M = round(1 / resolution)). Returns the lexicographically
     first minimizer in enumeration order. Guarded to MAX_GRID_POINTS
-    total points and MAX_GRID_STRATEGIES strategies per type.
+    total points and MAX_GRID_STRATEGIES strategies per type. Raises
+    ValueError when the potential overflows at every grid point.
     """
     if mode not in ("original", "marginal"):
         raise ValueError(f"mode must be 'original' or 'marginal', got '{mode}'")
@@ -176,7 +177,9 @@ def grid_search_equilibrium(game: Game, resolution: float, mode: str) -> Flow:
             flush()
     flush()
 
-    assert best_row is not None
+    if best_row is None:
+        # Every potential overflowed to inf or NaN.
+        raise ValueError(f"the {mode} potential is not finite at any grid point")
     return Flow({key: float(v) for key, v in zip(keys, best_row)})
 
 

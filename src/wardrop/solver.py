@@ -151,8 +151,9 @@ def _check_mode(mode: str) -> None:
 
 def _free(
     arrays: _GameArrays, f: np.ndarray, costs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The free rows and the basic row of each.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The free rows, the basic row of each, and the mask of rows that
+    carry mass.
 
     A type's basic row carries its most mass, ties toward the lowest
     index. Its free rows carry mass or cost less than the basic row.
@@ -160,12 +161,9 @@ def _free(
     """
     pick = arrays.by_type(f, -1.0).argmax(axis=1)
     base = arrays.slots[arrays.type_range, pick][arrays.owner]
-    free = (
-        (arrays.row_range != base)
-        & (f[base] > 0.0)
-        & ((f > 0.0) | (costs < costs[base]))
-    )
-    return np.flatnonzero(free), base[free]
+    used = f > 0.0
+    free = (arrays.row_range != base) & used[base] & (used | (costs < costs[base]))
+    return np.flatnonzero(free), base[free], used
 
 
 def _directions(hessian: np.ndarray, g: np.ndarray, reach: np.ndarray) -> Iterator[np.ndarray]:
@@ -209,7 +207,7 @@ def _newton_step(
     moved no mass, when a direction does not descend or when the arc of
     every direction stops moving mass before it passes.
     """
-    rows, base = _free(arrays, f, costs)
+    rows, base, used = _free(arrays, f, costs)
     mass = f[rows]
     g = costs[rows] - costs[base]
     diff = arrays.incidence[rows] - arrays.incidence[base]
@@ -228,7 +226,6 @@ def _newton_step(
     )
     quotient = values[2:]
     floor = -mass
-    used = f > 0.0
     for direction in directions:
         d[newton] = direction
         descent = float(g @ d)
@@ -237,9 +234,9 @@ def _newton_step(
         alpha = 1.0
         while True:
             change = np.maximum(alpha * d, floor)
-            step = np.zeros_like(f)
-            step[rows] = change
-            step -= np.bincount(base, weights=change, minlength=len(f))
+            # No free row is basic, so each row's entry is its own change
+            # or minus the changes its free rows make.
+            step = np.bincount(rows, change, len(f)) - np.bincount(base, change, len(f))
             stepped = f + step
             if not (stepped != f)[used].any():
                 break  # the step no longer moves any mass: it is below rounding

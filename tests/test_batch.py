@@ -246,10 +246,10 @@ def test_batch_sweep_rejects_infeasible_flow_and_bad_counts(pigou):
 
 @pytest.fixture(scope="module")
 def traced_long_sweep():
-    # 3000 counts on a 300-edge game of degree up to 4, priced in five
-    # blocks of 699 counts. Tracing costs about a microsecond per priced
-    # (count, edge) value, so the game is wide and the list short, and
-    # the two tests below read this one traced run.
+    # 3000 counts on a 300-edge game of degree up to 4, priced in nine
+    # blocks of up to 349 counts. Tracing costs about a microsecond per
+    # priced (count, edge) value, so the game is wide and the list short,
+    # and the two tests below read this one traced run.
     game = large_game(3, n_types=6, n_strategies=4)
     flow = random_feasible_flow(game, np.random.default_rng(3))
     counts = range(1, 6001, 2)
@@ -263,9 +263,9 @@ def traced_long_sweep():
 
 
 def test_batch_sweep_memory_is_bounded_on_long_count_lists(traced_long_sweep):
-    # The traced run peaks at about 19 MB when priced in blocks and each
+    # The traced run peaks at about 14 MB when priced in blocks and each
     # Horner pass keeps only its values. Pricing in a single block peaks
-    # at about 78 MB.
+    # at about 84 MB.
     game, flow, counts, rows, peak = traced_long_sweep
     assert peak < 21 * 2**20
     assert len(rows) == len(counts)

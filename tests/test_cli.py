@@ -1,5 +1,9 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wardrop.batch
 from helpers import hard_game
@@ -362,6 +368,94 @@ def test_deeply_nested_input_exits_3(capsys, tmp_path, document, depth):
     assert "Traceback" not in err
 
 
+# What a mutant puts in place of a field: each other JSON type, and
+# numbers at or past the edge of the floats.
+FUZZ_VALUES = ["e1", True, None, [], {}, -1.0, math.nan, math.inf, 1e308, 10**400]
+# Stands in for the key that a mutant repeats, until the text is written.
+REPEAT_MARK = "\x00repeat"
+
+
+def mutant_text(data, document):
+    """The text of one mutation of document, and the key it repeats or
+    None. The mutation walks down from the root to a field, then deletes
+    it, replaces it with one of FUZZ_VALUES, nests it in a list, or
+    duplicates it: an array element is inserted twice, and an object's
+    key is written twice in the raw text."""
+    root = [copy.deepcopy(document)]
+    holder, key = root, 0
+    # Go one level deeper with odds of 4 to 1, so most mutants reach a leaf.
+    while isinstance(holder[key], (dict, list)) and holder[key] and data.draw(st.integers(0, 4)):
+        holder = holder[key]
+        key = data.draw(st.sampled_from(sorted(holder) if isinstance(holder, dict)
+                                        else range(len(holder))))
+    operation = data.draw(st.sampled_from(["delete", "replace", "nest", "duplicate"]))
+    repeated = None
+    if operation == "delete":
+        del holder[key]
+    elif operation == "replace":
+        holder[key] = data.draw(st.sampled_from(FUZZ_VALUES))
+    elif operation == "nest":
+        holder[key] = [holder[key]]
+    elif isinstance(holder, list):
+        holder.insert(key, copy.deepcopy(holder[key]))
+    else:
+        holder[REPEAT_MARK] = holder[key]
+        repeated = key
+    text = json.dumps(root[0]) if root else ""
+    return text.replace(json.dumps(REPEAT_MARK), json.dumps(repeated)), repeated
+
+
+FUZZ_FIXTURES = ("pigou", "mono", "twotype")
+FUZZ_FLOWS = {
+    fixture: sorted((ROOT / "tests" / "data" / "flows").glob(f"{fixture}.*.json"))
+    for fixture in FUZZ_FIXTURES
+}
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants") / "mutant.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_input_keeps_the_exit_code_contract(mutant_path, data):
+    # A mutant of a fixture, or of one of its flow goldens, exits 0, 2, 3
+    # or 4 (or 1 from verify) from every command that reads it, with no
+    # traceback; one that repeats a key exits 3, naming the key.
+    fixture = data.draw(st.sampled_from(FUZZ_FIXTURES))
+    game = str(FIXTURES / f"{fixture}.json")
+    flow = data.draw(st.sampled_from(FUZZ_FLOWS[fixture]))
+    if data.draw(st.booleans(), label="mutate the flow"):
+        text, repeated = mutant_text(data, json.loads(flow.read_text()))
+        commands = [
+            ["verify", game, str(mutant_path), "--mode", mode]
+            for mode in ("wardrop", "marginal", "batch")
+        ]
+    else:
+        text, repeated = mutant_text(data, json.loads(Path(game).read_text()))
+        game, solver_options = str(mutant_path), ["--max-iterations", "200"]
+        commands = [
+            ["solve", game, *solver_options],
+            ["poa", game, *solver_options],
+            ["batch", game, "--epsilon", "0.01", *solver_options],
+            ["sweep", game, "--n-list", "1,2,4", *solver_options],
+            ["verify", game, str(flow)],
+            ["oracle", game, "--resolution", "0.05"],
+        ]
+    mutant_path.write_text(text)
+    for argv in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        allowed = {0, 1, 2, 3, 4} if argv[0] == "verify" else {0, 2, 3, 4}
+        assert code in allowed, (argv, text, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if repeated is not None:
+            assert code == 3, (argv, text)
+            assert f"duplicate key {repeated!r}" in err.getvalue()
+
+
 def test_batch_overshoot_past_epsilon_exits_4(capsys, monkeypatch):
     # One batch per edge overshoots Pigou's optimum cost 3/4 by 1/4.
     monkeypatch.setattr(
@@ -610,6 +704,24 @@ def one_edge_game(path, coeff, demand):
         )
     )
     return str(path)
+
+
+def test_oracle_on_an_overflowing_potential_exits_3(capsys, tmp_path):
+    # The potential x^3 / 3 overflows at every grid point but 0, and the
+    # one point of a one-strategy type carries the whole demand. This
+    # ended in an AssertionError and a traceback.
+    path = tmp_path / "huge.json"
+    path.write_text(
+        json.dumps(
+            {
+                "edges": [{"id": "m1", "latency": {"coeffs": [0.0, 0.0, 1.0]}}],
+                "player_types": [{"id": "t1", "demand": 1e308, "strategies": [["m1"]]}],
+            }
+        )
+    )
+    code, lines, err = run_lines(capsys, "oracle", str(path))
+    assert (code, lines) == (3, [])
+    assert err == "error: the original potential is not finite at any grid point\n"
 
 
 def test_nan_coefficient_exits_3(capsys, tmp_path):

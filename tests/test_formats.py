@@ -126,6 +126,18 @@ def test_load_game_rejects_missing_key(tmp_path):
         load_game(path)
 
 
+def test_load_game_rejects_a_repeated_key(tmp_path):
+    # json.loads alone keeps the last "edges", so this text used to load
+    # as a one-edge game.
+    path = tmp_path / "twice.json"
+    path.write_text(
+        '{"edges": [], "edges": [{"id": "e1", "latency": {"coeffs": [1.0]}}],'
+        ' "player_types": []}'
+    )
+    with pytest.raises(FormatError, match="^game document: duplicate key 'edges'$"):
+        load_game(path)
+
+
 def pigou_document(coeffs=(1.0,), demand=1.0, strategies=(("a",), ("b",))):
     """Pigou's game on edges "a" and "b". A tuple argument is written as
     a JSON list; anything else is written as it is."""
@@ -407,6 +419,13 @@ def test_load_flow_rejects_duplicate_entry(tmp_path, pigou):
         },
     )
     with pytest.raises(FormatError, match="duplicate"):
+        load_flow(path, pigou)
+
+
+def test_load_flow_rejects_a_repeated_key(tmp_path, pigou):
+    path = tmp_path / "flow.json"
+    path.write_text('{"amounts": [{"type": "t1", "strategy": 0, "x": 2.0, "x": 1.0}]}')
+    with pytest.raises(FormatError, match="^flow document: duplicate key 'x'$"):
         load_flow(path, pigou)
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -445,6 +448,43 @@ def test_generated_game_solve_is_pinned_bit_for_bit(name, mode):
     assert result.flow.amounts == {
         (type_id, index): float.fromhex(amount) for type_id, index, amount in pin["amounts"]
     }
+
+
+# Solves large_game(1) in the mode argv[1] and prints what the pin
+# records: the step count, the exact scalars and the sha256 of the
+# amounts as "type index float.hex" lines in sorted key order.
+LARGE_GAME_SOLVE = """
+import hashlib, json, sys
+from helpers import large_game
+from wardrop import SolverParams, solve
+result = solve(large_game(1), sys.argv[1], SolverParams(relative_gap_tol=1e-12))
+record = {"iterations": result.iterations}
+for field in ("relative_gap", "potential_value", "social_cost_original",
+              "equilibrium_violation"):
+    record[field] = getattr(result, field).hex()
+lines = "\\n".join(f"{t} {s} {x.hex()}" for (t, s), x in sorted(result.flow.amounts.items()))
+record["amounts_sha256"] = hashlib.sha256(lines.encode()).hexdigest()
+print(json.dumps(record))
+"""
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_large_game_solve_is_pinned_bit_for_bit(mode):
+    # The 300/60/10 game has 600 rows. Its steps scatter many free rows
+    # onto one basic row and empty eps-active rows, which the 24-row
+    # gen-mid pins above seldom reach. Its 600 x 300 products are large
+    # enough for a threaded BLAS to split them, which moves their last
+    # bits, so the solve runs in a child process held to one BLAS thread.
+    pin = json.loads((DATA / "solver_pins.json").read_text())[f"large_game1.{mode}"]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    paths = [str(DATA.parents[1] / "src"), str(DATA.parent), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    done = subprocess.run(
+        [sys.executable, "-c", LARGE_GAME_SOLVE, mode],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == pin
 
 
 @pytest.mark.parametrize("mode", MODES)
