@@ -11,7 +11,7 @@ prints the disagreements (there should be none beyond grid resolution).
 from pathlib import Path
 
 from wardrop import LatencyFunction, load_game, social_cost, solve
-from wardrop.oracle import finite_difference, grid_search_equilibrium, riemann_check
+from wardrop.oracle import grid_search_equilibrium, riemann_check
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -29,11 +29,6 @@ def compare_solver(name: str, resolution: float) -> None:
 def calculus_spot_checks() -> None:
     fn = LatencyFunction((1.0, 0.5, 0.0, 2.0))
     print("\ncubic latency 1 + 0.5x + 2x^3:")
-    for x in (0.3, 1.0, 4.0):
-        exact = fn.derivative(x)
-        numeric = finite_difference(fn, x, 1e-5 * max(1.0, x))
-        print(f"  derivative at {x}: exact {exact:.8f}  "
-              f"central difference {numeric:.8f}")
     marginal = fn.marginal()
     for n in (4, 64, 1024):
         right_sum, integral, gap = riemann_check(marginal, 2.0, n)

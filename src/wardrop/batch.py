@@ -91,12 +91,15 @@ class MechanismError(RuntimeError):
 
 def _check_count(n_batches: int, what: str = "batch count") -> int:
     """n_batches as an int; ValueError naming `what` unless it is an
-    integer >= 1 (inf, nan and strings such as '3' are not)."""
+    integer >= 1 (bools, inf, nan and strings such as '3' are not)."""
     try:
         count: int | None = int(n_batches)
     except (TypeError, ValueError, OverflowError):
         count = None
-    if count is None or count != n_batches or count < 1:
+    if (
+        count is None or count != n_batches or count < 1
+        or isinstance(n_batches, (bool, np.bool_))
+    ):
         raise ValueError(f"{what} must be an integer >= 1, got {n_batches!r}")
     return count
 

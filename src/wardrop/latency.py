@@ -1,10 +1,11 @@
-"""Polynomial latency functions with exact calculus.
+"""Polynomial latency functions.
 
 Latencies are polynomials with nonnegative coefficients. On x >= 0 that
 makes them nonnegative, nondecreasing, convex and continuously
-differentiable, and it turns the derivative, the marginal-cost transform
-and the definite integral into exact coefficient operations, so no
-quadrature is needed anywhere downstream.
+differentiable. Their derivatives, marginal-cost transforms and
+integrals are exact coefficient operations, done once per game in the
+vector view's banks (model._GameArrays), so no quadrature is needed
+anywhere downstream.
 """
 
 from __future__ import annotations
@@ -23,16 +24,16 @@ class LatencyFunction:
     Structurally bad coefficient lists (empty, negative entries, degree
     above MAX_DEGREE) are deliberately constructible so that game
     validation can report them all at once; see model.validate_game.
+
+    The package evaluates latencies only through the view's banks. The
+    scalar __call__ and marginal stay for perfbench/workloads.py, whose
+    Riemann check prices each edge independently of those banks.
     """
 
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __call__(self, x: float) -> float:
         """Evaluate l(x) by Horner's rule. Requires x >= 0."""
@@ -42,14 +43,6 @@ class LatencyFunction:
             acc = acc * x + c
         return acc
 
-    def derivative(self, x: float) -> float:
-        """Evaluate l'(x). Requires x >= 0."""
-        _require_nonnegative(x)
-        acc = 0.0
-        for j in range(self.degree, 0, -1):
-            acc = acc * x + j * self.coeffs[j]
-        return acc
-
     def marginal(self) -> LatencyFunction:
         """Return the marginal-cost latency l(x) + l'(x) * x.
 
@@ -57,14 +50,6 @@ class LatencyFunction:
         the result stays inside the same nonnegative-coefficient family.
         """
         return LatencyFunction(tuple((j + 1) * c for j, c in enumerate(self.coeffs)))
-
-    def integral(self, x: float) -> float:
-        """Exact definite integral of l from 0 to x. Requires x >= 0."""
-        _require_nonnegative(x)
-        acc = 0.0
-        for j in range(self.degree, -1, -1):
-            acc = acc * x + self.coeffs[j] / (j + 1)
-        return acc * x
 
 
 def _require_nonnegative(x: float) -> None:

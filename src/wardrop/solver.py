@@ -107,7 +107,7 @@ class SolverParams:
         if type(n) is bool or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"max_iterations must be an integer of at least 1, got {n!r}")
         tol = self.relative_gap_tol
-        if not (math.isfinite(tol) and tol > 0):
+        if isinstance(tol, (bool, np.bool_)) or not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"relative_gap_tol must be positive and finite, got {tol}")
 
 

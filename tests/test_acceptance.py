@@ -20,6 +20,8 @@ from helpers import (
     random_game,
 )
 from wardrop import (
+    Edge,
+    Game,
     LatencyFunction,
     MechanismError,
     batch_social_cost,
@@ -29,11 +31,12 @@ from wardrop import (
     wardrop_gap,
 )
 from wardrop.cli import run as cli_run
-from wardrop.model import VERIFY_TOL
+from wardrop.model import VERIFY_TOL, _horner
 from wardrop.oracle import (
     exhaustive_batch_verify,
     finite_difference,
     grid_search_equilibrium,
+    riemann_check,
 )
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -193,22 +196,34 @@ def test_criterion_7_marginal_solve_is_optimal(pigou, mono, twotype):
 
 
 def test_criterion_8_latency_calculus():
+    # The derivative and integral rows of each mode's bank, the ones the
+    # Newton step and the Armijo test evaluate, against numpy's calculus.
     rng = np.random.default_rng(8108)
     failures: list[str] = []
     for poly in range(300):
         degree = int(rng.integers(0, 7))
         fn = LatencyFunction(tuple(float(c) for c in rng.uniform(0.0, 10.0, degree + 1)))
+        banks = Game((Edge("e", fn),), ())._arrays.banks
+        at_zero = 0.0 * float(_horner(banks["original"][:, 2], np.zeros(1))[0])
+        if at_zero != 0.0:
+            failures.append(f"poly {poly}: integral {at_zero} at x=0")
         for x in rng.uniform(0.0, 10.0, 3):
             x = float(x)
-            exact = fn.derivative(x)
+            load = np.array([x])
             step = 1e-5 * max(1.0, x)
-            numeric = finite_difference(fn, x, step)
-            if abs(numeric - exact) > 1e-6 * max(1.0, abs(exact)):
-                failures.append(
-                    f"poly {poly} at x={x}: derivative {exact}, difference {numeric}"
-                )
-            lhs = fn.marginal().integral(x)
+            for mode, mode_fn in (("original", fn), ("marginal", fn.marginal())):
+                exact = float(_horner(banks[mode][:, 1], load)[0])
+                numeric = finite_difference(mode_fn, x, step)
+                if abs(numeric - exact) > 1e-6 * max(1.0, abs(exact)):
+                    failures.append(
+                        f"poly {poly} at x={x}: {mode} derivative {exact}, difference {numeric}"
+                    )
+            integral = x * float(_horner(banks["original"][:, 2], load)[0])
+            reference = riemann_check(fn, x, 1)[1]
+            if not math.isclose(integral, reference, rel_tol=1e-12, abs_tol=1e-12):
+                failures.append(f"poly {poly} at x={x}: integral {integral} vs {reference}")
+            lhs = x * float(_horner(banks["marginal"][:, 2], load)[0])
             rhs = fn(x) * x
             if not math.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-12):
-                failures.append(f"poly {poly} at x={x}: integral {lhs} vs cost {rhs}")
-    _report(8, "derivatives and the marginal integral identity check out", failures)
+                failures.append(f"poly {poly} at x={x}: marginal integral {lhs} vs cost {rhs}")
+    _report(8, "the banks' derivatives and integrals check out", failures)

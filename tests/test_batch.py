@@ -1,10 +1,12 @@
 import math
+import re
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import large_game, random_batch_system, random_feasible_flow, random_game
@@ -27,6 +29,7 @@ from wardrop import (
     solve,
     wardrop_gap,
 )
+from wardrop.batch import _riemann_factors
 from wardrop.formats import save_flow
 from wardrop.model import VERIFY_TOL, _horner
 from wardrop.oracle import exhaustive_batch_verify, riemann_check
@@ -113,6 +116,53 @@ def test_batch_edge_cost_closed_form(pigou):
         assert cost == pytest.approx(0.25 + 0.25 / n, rel=1e-12)
 
 
+def bernoulli_numbers(m: int) -> list[Fraction]:
+    """B_0 .. B_m as exact fractions, with B_1 = +1/2."""
+    b = [Fraction(1)]
+    for k in range(1, m + 1):
+        b.append(-sum(math.comb(k + 1, i) * b[i] for i in range(k)) / (k + 1))
+    b[1] = -b[1]
+    return b
+
+
+BERNOULLI = bernoulli_numbers(16)
+
+
+def faulhaber(j: int, n: int) -> int:
+    """S_j(n) = sum_{b=1..n} b^j by Faulhaber's formula."""
+    total = sum(
+        math.comb(j + 1, k) * BERNOULLI[k] * n ** (j + 1 - k) for k in range(j + 1)
+    ) / (j + 1)
+    assert total.denominator == 1
+    return total.numerator
+
+
+def test_faulhaber_matches_direct_power_sums():
+    sums = [0] * 17
+    for n in range(1, 201):
+        for j in range(17):
+            sums[j] += n**j
+            assert faulhaber(j, n) == sums[j], (j, n)
+
+
+@given(width=st.integers(min_value=1, max_value=17), n=st.integers(min_value=1, max_value=10**12))
+@example(width=17, n=1)
+@example(width=17, n=2)
+@example(width=17, n=2**10)
+@example(width=17, n=2**20)
+@example(width=17, n=2**39)
+def test_riemann_factors_are_exact_power_sums(width, n):
+    # Each factor is the correctly rounded exact fraction, and every
+    # excess is nonnegative, so a gap summed from them never cancels.
+    ratio, excess = _riemann_factors(n, width)
+    assert len(ratio) == len(excess) == width
+    for j in range(width):
+        exact = Fraction(faulhaber(j, n), n ** (j + 1))
+        assert ratio[j] == float(exact), (j, n)
+        assert excess[j] == float(exact - Fraction(1, j + 1)), (j, n)
+        assert excess[j] >= 0
+
+
 # Latencies up to degree 16, so marginal coefficient rows up to width 17.
 latency_coeffs = st.lists(
     st.floats(min_value=0.0, max_value=10.0, allow_nan=False), min_size=1, max_size=17
@@ -162,10 +212,11 @@ def test_batch_pricing_at_huge_counts(pigou):
 def test_batch_edge_cost_rejects_bad_count(pigou):
     with pytest.raises(ValueError, match=">= 1"):
         batch_sweep(pigou, OPTIMUM, [0])
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match=f"batch count must be .* got {bad!r}"):
+    for bad in (math.inf, math.nan, True, np.True_):
+        shown = re.escape(repr(bad))
+        with pytest.raises(ValueError, match=f"batch count must be .* got {shown}"):
             batch_sweep(pigou, OPTIMUM, [bad])
-        with pytest.raises(ValueError, match=f"batch count for 'e2' .* got {bad!r}"):
+        with pytest.raises(ValueError, match=f"batch count for 'e2' .* got {shown}"):
             BatchSystem({"e1": 1, "e2": bad})
 
 
@@ -239,7 +290,7 @@ def test_batch_sweep_keeps_order_and_repeats(pigou):
 def test_batch_sweep_rejects_infeasible_flow_and_bad_counts(pigou):
     with pytest.raises(ValueError, match="infeasible"):
         batch_sweep(pigou, Flow({("t1", 0): 0.2}), [1, 2])
-    for bad in (0, 1.5, math.inf, math.nan):
+    for bad in (0, 1.5, math.inf, math.nan, True):
         with pytest.raises(ValueError, match=f"batch count must be .* got {bad!r}"):
             batch_sweep(pigou, OPTIMUM, [1, bad])
 

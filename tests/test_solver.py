@@ -86,7 +86,7 @@ def test_solver_params_validation():
 
 
 def test_solver_params_reject_non_finite_tolerances():
-    for value in (float("nan"), float("inf")):
+    for value in (float("nan"), float("inf"), True, np.True_):
         with pytest.raises(ValueError, match="positive and finite"):
             SolverParams(relative_gap_tol=value)
 
