@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import EPS_USE, Flow, Game, _GameArrays, _horner
+from .model import EPS_USE, Flow, Game, _GameArrays, _count, _horner, _real
 from .solver import SolverParams, SolveResult, _solve_pair
 
 #: Coefficients (two banks x polynomial width x counts x edges) that
@@ -42,7 +42,7 @@ class BatchSystem:
 
     def __post_init__(self) -> None:
         normalized = {
-            str(edge_id): _check_count(count, f"batch count for '{edge_id}'")
+            str(edge_id): _count(count, f"batch count for '{edge_id}'")
             for edge_id, count in self.counts.items()
         }
         object.__setattr__(self, "counts", normalized)
@@ -87,21 +87,6 @@ class MechanismReport:
 
 class MechanismError(RuntimeError):
     """The mechanism's own guarantees failed on a solved flow."""
-
-
-def _check_count(n_batches: int, what: str = "batch count") -> int:
-    """n_batches as an int; ValueError naming `what` unless it is an
-    integer >= 1 (bools, inf, nan and strings such as '3' are not)."""
-    try:
-        count: int | None = int(n_batches)
-    except (TypeError, ValueError, OverflowError):
-        count = None
-    if (
-        count is None or count != n_batches or count < 1
-        or isinstance(n_batches, (bool, np.bool_))
-    ):
-        raise ValueError(f"{what} must be an integer >= 1, got {n_batches!r}")
-    return count
 
 
 def _check_cover(game: Game, batch_system: BatchSystem) -> None:
@@ -200,7 +185,7 @@ def batch_sweep(
     """
     view = game._arrays
     x = view.loads(view.feasible_vector(flow))
-    counts = [_check_count(n) for n in counts]
+    counts = [_count(n, "batch count") for n in counts]
     order = [k for _, k in sorted(view.edge_index.items())]
     distinct = list(dict.fromkeys(counts))
     step = max(1, SWEEP_BLOCK_FLOATS // max(1, 2 * view.banks["marginal"][:, 0].size))
@@ -221,8 +206,7 @@ def select_batch_system(game: Game, flow: Flow, epsilon: float) -> BatchSystem:
     N_e gives ceil(x_e * (lhat(x_e) - lhat(0)) * m / epsilon). Edges
     loaded with at most EPS_USE get N_e = 1.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    _real(epsilon, "epsilon")
     view = game._arrays
     x = view.loads(view.feasible_vector(flow))
     marginal = view.banks["marginal"][:, 0]

@@ -13,10 +13,11 @@ shared by every caller that loads the same file.
 
 All structural invariants are checked by validate_game, which returns a
 report instead of raising so a bad input can be diagnosed in full; the
-report is computed once per Game and kept with it. The operations below
-raise ValueError only for genuine contract violations (unknown ids,
-infeasible flows), or GameValidationError, with the game's report, when
-a strategy names an edge the game lacks, so that no vector view exists.
+report is computed once per Game and kept with it. The vector view is
+built only for a game with an empty report, so every evaluator raises
+GameValidationError, with that report, for an invalid game, and
+otherwise ValueError only for genuine contract violations (unknown ids,
+infeasible flows). Counts and tolerances pass _count and _real.
 """
 
 from __future__ import annotations
@@ -105,11 +106,9 @@ class Game:
 
     @cached_property
     def _arrays(self) -> _GameArrays:
-        try:
-            return _GameArrays(self)
-        except KeyError:
-            # A strategy names an edge the game lacks.
-            raise GameValidationError(validate_game(self)) from None
+        if self._violations:
+            raise GameValidationError(list(self._violations))
+        return _GameArrays(self)
 
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
@@ -146,6 +145,29 @@ def _strategy_index(type_id: object, index: object) -> int:
     ):
         raise ValueError(f"flow key {(type_id, index)!r}: strategy index must be an integer")
     return int(index)
+
+
+def _count(value: int, name: str) -> int:
+    """value as an int; ValueError naming it unless value equals an
+    integer >= 1 (bools, inf, nan and strings such as '3' do not)."""
+    try:
+        count: int | None = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value or count < 1 or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return count
+
+
+def _real(value: float, name: str, *, positive: bool = True) -> None:
+    """ValueError naming value unless it is a finite real (not a bool),
+    and > 0, or >= 0 when positive is False."""
+    if (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+        or not math.isfinite(value) or not (value > 0 if positive else value >= 0)
+    ):
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

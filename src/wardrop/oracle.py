@@ -4,7 +4,9 @@ Everything here goes through numpy's polynomial routines (polyval,
 polyder, polymul, polyint on highest-first coefficients) instead of the
 package's own latency calculus, and enumerates instead of optimizing, so
 agreement with the fast paths is evidence rather than tautology. Guards
-keep the enumeration sizes at desk scale.
+keep the enumeration sizes at desk scale. Only the arithmetic is
+independent: arguments pass the package's own checks, so a bad one
+raises the same ValueError as on the fast paths.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from functools import reduce
 
 import numpy as np
 
-from .batch import BatchSystem
+from .batch import BatchSystem, _check_cover
 from .latency import LatencyFunction
-from .model import Flow, Game, is_feasible
+from .model import Flow, Game, _count, _real, is_feasible
+from .solver import _check_mode
 
 # Enumeration guards.
 MAX_GRID_POINTS = 10**7
@@ -39,13 +42,11 @@ def _marginal_high_first(fn: LatencyFunction) -> np.ndarray:
 def finite_difference(fn: LatencyFunction, x: float, h: float) -> float:
     """Central difference of the latency at x, one-sided at the boundary.
 
-    The lower sample is clamped to 0 so the polynomial is never evaluated
-    at negative flow.
+    x is a finite real >= 0 and h a finite real > 0. The lower sample is
+    clamped to 0 so the polynomial is never evaluated at negative flow.
     """
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
+    _real(x, "x", positive=False)
+    _real(h, "h")
     upper = x + h
     lower = max(0.0, x - h)
     p = _high_first(fn)
@@ -54,12 +55,10 @@ def finite_difference(fn: LatencyFunction, x: float, h: float) -> float:
 
 def riemann_check(fn: LatencyFunction, x: float, n: int) -> tuple[float, float, float]:
     """Right-endpoint Riemann sum of fn over [0, x] with n pieces, the
-    exact integral, and their difference (sum, integral, gap)."""
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if n != int(n) or int(n) < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-    n = int(n)
+    exact integral, and their difference (sum, integral, gap). x is a
+    finite real >= 0 and n equals an integer >= 1."""
+    _real(x, "x", positive=False)
+    n = _count(n, "n")
     p = _high_first(fn)
     z = (np.arange(1, n + 1, dtype=float) / n) * x
     right_sum = float(x / n * np.polyval(p, z).sum())
@@ -99,15 +98,16 @@ def grid_search_equilibrium(game: Game, resolution: float, mode: str) -> Flow:
     """Minimize the mode potential over a per-type simplex grid.
 
     Each type's demand is split in multiples of resolution * d_i (shares
-    k / M with M = round(1 / resolution)). Returns the lexicographically
-    first minimizer in enumeration order. Guarded to MAX_GRID_POINTS
-    total points and MAX_GRID_STRATEGIES strategies per type. Raises
-    ValueError when the potential overflows at every grid point.
+    k / M with M = round(1 / resolution)), for a finite real resolution
+    in (0, 1]. Returns the lexicographically first minimizer in
+    enumeration order. Guarded to MAX_GRID_POINTS total points and
+    MAX_GRID_STRATEGIES strategies per type. Raises ValueError when the
+    potential overflows at every grid point.
     """
-    if mode not in ("original", "marginal"):
-        raise ValueError(f"mode must be 'original' or 'marginal', got '{mode}'")
-    if resolution <= 0 or resolution > 1:
-        raise ValueError(f"resolution must be in (0, 1], got {resolution}")
+    _check_mode(mode)
+    _real(resolution, "resolution")
+    if resolution > 1:
+        raise ValueError(f"resolution must be in (0, 1], got {resolution!r}")
     steps = max(1, round(1.0 / resolution))
 
     keys: list[tuple[str, int]] = []
@@ -195,10 +195,13 @@ def exhaustive_batch_verify(
     combinations of batch indices on its edges and requires each
     resulting cost to stay within tol of every alternative strategy's
     full-load cost. Guarded to MAX_BATCH_ASSIGNMENTS combinations per
-    used strategy.
+    used strategy. tol is a finite real >= 0, the flow is feasible and
+    the batch system's edges are exactly the game's.
     """
+    _real(tol, "tol", positive=False)
     if not is_feasible(game, flow):
         raise ValueError("infeasible flow")
+    _check_cover(game, batch_system)
     keys = [(t.id, s) for t in game.player_types for s in range(len(t.strategies))]
     amounts = np.array([flow.amount(*key) for key in keys])
     loads = dict(zip(game.edge_ids, (amounts @ _incidence(game, keys)).tolist()))

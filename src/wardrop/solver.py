@@ -64,22 +64,12 @@ evaluates, so a trial costs one Horner pass.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    EPS_USE,
-    VERIFY_TOL,
-    Flow,
-    Game,
-    GameValidationError,
-    _GameArrays,
-    _horner,
-    validate_game,
-)
+from .model import EPS_USE, VERIFY_TOL, Flow, Game, _GameArrays, _count, _horner, _real
 
 MODES = ("original", "marginal")
 
@@ -101,14 +91,10 @@ class SolverParams:
     relative_gap_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        n = self.max_iterations
-        # Exact integers only: a bool is an int, and a float budget would
-        # fail later, inside the solve loop.
-        if type(n) is bool or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"max_iterations must be an integer of at least 1, got {n!r}")
-        tol = self.relative_gap_tol
-        if isinstance(tol, (bool, np.bool_)) or not (math.isfinite(tol) and tol > 0):
-            raise ValueError(f"relative_gap_tol must be positive and finite, got {tol}")
+        # Stored as an int: a float budget would fail inside the solve loop.
+        budget = _count(self.max_iterations, "max_iterations")
+        object.__setattr__(self, "max_iterations", budget)
+        _real(self.relative_gap_tol, "relative_gap_tol")
 
 
 @dataclass(frozen=True)
@@ -281,9 +267,6 @@ def solve(
     _check_mode(mode)
     if params is None:
         params = SolverParams()
-    report = validate_game(game)
-    if report:
-        raise GameValidationError(report)
     arrays = game._arrays
     if initial_flow is None:
         f = arrays.cold_start

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from wardrop import (
     Game,
     LatencyFunction,
     PlayerType,
+    SolverParams,
     batch_social_cost,
     batch_sweep,
     is_feasible,
@@ -27,7 +29,12 @@ from wardrop import (
     wardrop_gap,
 )
 from wardrop.model import _horner
-from wardrop.oracle import exhaustive_batch_verify
+from wardrop.oracle import (
+    exhaustive_batch_verify,
+    finite_difference,
+    grid_search_equilibrium,
+    riemann_check,
+)
 
 
 def pigou_variant(coeffs_e1=(1.0,), coeffs_e2=(0.0, 1.0), demand=1.0):
@@ -109,6 +116,29 @@ def test_evaluators_reject_a_strategy_on_an_unknown_edge(caller):
 
 def test_is_feasible_is_false_on_a_strategy_on_an_unknown_edge():
     assert not is_feasible(unknown_edge_game(), Flow({("t1", 0): 1.0}))
+
+
+INVALID_GAME_CALLERS = {
+    **UNKNOWN_EDGE_CALLERS,
+    "select_batch_system": lambda g, f: select_batch_system(g, f, 0.1),
+    "batch_social_cost": lambda g, f: batch_social_cost(g, f, BatchSystem.uniform(g, 1)),
+    "batch_sweep": lambda g, f: batch_sweep(g, f, [1, 2]),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(INVALID_GAME_CALLERS))
+def test_evaluators_reject_a_negative_coefficient(caller):
+    # Every strategy's edges exist, so a view could be built; the game's
+    # report refuses it first, and the flow (all on e2, latency -x) would
+    # otherwise have potential -0.5 and a Wardrop gap of 0.
+    game = pigou_variant(coeffs_e2=(0.0, -1.0))
+    assert validate_game(game) == [
+        model.Violation("edges[1].latency.coeffs[1]", "negative coefficient -1.0")
+    ]
+    with pytest.raises(model.GameValidationError) as raised:
+        INVALID_GAME_CALLERS[caller](game, Flow({("t1", 1): 1.0}))
+    assert list(raised.value.report) == validate_game(game)
+    assert not is_feasible(game, Flow({("t1", 1): 1.0}))
 
 
 def test_validate_duplicate_edge_ids():
@@ -567,3 +597,68 @@ def test_view_arrays_are_read_only(pigou):
     arrays = [value for value in values if isinstance(value, np.ndarray)]
     assert len(arrays) >= 8
     assert not any(array.flags.writeable for array in arrays)
+
+
+PIGOU_OPTIMUM = Flow({("t1", 0): 0.5, ("t1", 1): 0.5})
+AFFINE = LatencyFunction((1.0, 2.0))
+
+# Every argument behind one of the shared gates, model._count (counts)
+# and model._real (finite reals): a call on pigou at its optimum taking
+# the value, the name its ValueError starts with, and the gate's range.
+GATED_ARGUMENTS = {
+    "BatchSystem": (lambda g, v: BatchSystem({"e1": 1, "e2": v}), "batch count for 'e2'", "count"),
+    "batch_sweep": (lambda g, v: batch_sweep(g, PIGOU_OPTIMUM, [1, v]), "batch count", "count"),
+    "max_iterations": (lambda g, v: SolverParams(max_iterations=v), "max_iterations", "count"),
+    "relative_gap_tol": (
+        lambda g, v: SolverParams(relative_gap_tol=v), "relative_gap_tol", "positive"
+    ),
+    "epsilon": (lambda g, v: select_batch_system(g, PIGOU_OPTIMUM, v), "epsilon", "positive"),
+    "finite_difference.x": (lambda g, v: finite_difference(AFFINE, v, 1e-5), "x", "nonnegative"),
+    "finite_difference.h": (lambda g, v: finite_difference(AFFINE, 1.0, v), "h", "positive"),
+    "riemann_check.x": (lambda g, v: riemann_check(AFFINE, v, 4), "x", "nonnegative"),
+    "riemann_check.n": (lambda g, v: riemann_check(AFFINE, 1.0, v), "n", "count"),
+    "resolution": (
+        lambda g, v: grid_search_equilibrium(g, v, "original"), "resolution", "resolution"
+    ),
+    "tol": (
+        lambda g, v: exhaustive_batch_verify(g, PIGOU_OPTIMUM, BatchSystem.uniform(g, 1), tol=v),
+        "tol",
+        "nonnegative",
+    ),
+}
+OUT_OF_RANGE = {
+    "count": (0, -1, 2.5),
+    "positive": (0.0, -1.0, -math.inf),
+    "nonnegative": (-1.0, -math.inf),
+    "resolution": (0.0, 1.5),
+}
+# Per range, a plain value and the numpy scalars that must act as it.
+ACCEPTED = {
+    "count": (3, (np.int64(3), np.float64(3.0))),
+    "positive": (0.5, (np.float64(0.5),)),
+    "nonnegative": (0.5, (np.float64(0.5),)),
+    "resolution": (0.5, (np.float64(0.5),)),
+}
+GATE_CASES = [
+    (argument, bad)
+    for argument, (_, _, kind) in GATED_ARGUMENTS.items()
+    for bad in (True, np.True_, math.nan, math.inf, "1", *OUT_OF_RANGE[kind])
+]
+
+
+@pytest.mark.parametrize(
+    "argument, bad", GATE_CASES, ids=[f"{argument}-{bad!r}" for argument, bad in GATE_CASES]
+)
+def test_gated_argument_rejects_bad_values(pigou, argument, bad):
+    call, name, _ = GATED_ARGUMENTS[argument]
+    message = f"^{re.escape(name)} must be .* got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        call(pigou, bad)
+
+
+@pytest.mark.parametrize("argument", sorted(GATED_ARGUMENTS))
+def test_gated_argument_accepts_numpy_scalars(pigou, argument):
+    call, _, kind = GATED_ARGUMENTS[argument]
+    plain, scalars = ACCEPTED[kind]
+    for value in scalars:
+        assert call(pigou, value) == call(pigou, plain)

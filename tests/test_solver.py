@@ -85,6 +85,13 @@ def test_solver_params_validation():
         SolverParams(relative_gap_tol=0.0)
 
 
+def test_solver_params_keep_an_integral_budget_as_an_int(pigou):
+    for value in (5, 5.0, np.int64(5)):
+        params = SolverParams(max_iterations=value)
+        assert type(params.max_iterations) is int and params.max_iterations == 5
+        assert solve(pigou, "marginal", params).iterations <= 5
+
+
 def test_solver_params_reject_non_finite_tolerances():
     for value in (float("nan"), float("inf"), True, np.True_):
         with pytest.raises(ValueError, match="positive and finite"):
